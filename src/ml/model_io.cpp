@@ -1,10 +1,13 @@
 #include "ml/model_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
 
 #include "util/error.hpp"
+#include "util/number_scan.hpp"
 
 namespace xdmodml::ml::io {
 
@@ -44,68 +47,79 @@ void write_index_vector(std::ostream& out, const std::string& tag,
   out << '\n';
 }
 
-std::string TokenReader::next_token() {
-  std::string token;
-  if (!(in_ >> token)) {
+std::string_view TokenReader::next_token() {
+  if (!(in_ >> token_)) {
     throw InvalidArgument("model stream truncated");
   }
-  return token;
+  return token_;
 }
 
-std::string TokenReader::read_tag() { return next_token(); }
+std::string TokenReader::read_tag() { return std::string(next_token()); }
 
 void TokenReader::expect(const std::string& tag) {
   const auto token = next_token();
-  XDMODML_CHECK(token == tag,
-                "model stream: expected '" + tag + "', got '" + token + "'");
+  XDMODML_CHECK(token == tag, "model stream: expected '" + tag + "', got '" +
+                                  std::string(token) + "'");
 }
 
 double TokenReader::read_double(const std::string& tag) {
   expect(tag);
-  double v = 0.0;
-  XDMODML_CHECK(static_cast<bool>(in_ >> v),
+  const auto v = scan_double(next_token());
+  XDMODML_CHECK(v && std::isfinite(*v),
                 "model stream: bad double for tag " + tag);
-  return v;
+  return *v;
 }
 
 std::int64_t TokenReader::read_int(const std::string& tag) {
   expect(tag);
-  std::int64_t v = 0;
-  XDMODML_CHECK(static_cast<bool>(in_ >> v),
-                "model stream: bad integer for tag " + tag);
-  return v;
+  const auto v = scan_int<std::int64_t>(next_token());
+  XDMODML_CHECK(v.has_value(), "model stream: bad integer for tag " + tag);
+  return *v;
 }
 
 std::string TokenReader::read_string(const std::string& tag) {
   expect(tag);
-  return next_token();
+  return std::string(next_token());
 }
+
+std::int64_t TokenReader::read_length(const std::string& tag) {
+  expect(tag);
+  const auto n = scan_int<std::int64_t>(next_token());
+  XDMODML_CHECK(n && *n >= 0,
+                "model stream: bad vector length for tag " + tag);
+  return *n;
+}
+
+namespace {
+// A vector's element count comes from the stream, so it sizes only a
+// bounded reservation: a corrupt count then fails as a truncated stream
+// instead of allocating whatever the count claims.
+constexpr std::int64_t kMaxReserve = 1 << 16;
+}  // namespace
 
 std::vector<std::size_t> TokenReader::read_index_vector(
     const std::string& tag) {
-  expect(tag);
-  std::int64_t n = 0;
-  XDMODML_CHECK(static_cast<bool>(in_ >> n) && n >= 0,
-                "model stream: bad index vector length for tag " + tag);
-  std::vector<std::size_t> values(static_cast<std::size_t>(n));
-  for (auto& v : values) {
-    std::int64_t raw = 0;
-    XDMODML_CHECK(static_cast<bool>(in_ >> raw) && raw >= 0,
+  const auto n = read_length(tag);
+  std::vector<std::size_t> values;
+  values.reserve(static_cast<std::size_t>(std::min(n, kMaxReserve)));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto v = scan_int<std::size_t>(next_token());
+    XDMODML_CHECK(v.has_value(),
                   "model stream: bad index element for tag " + tag);
-    v = static_cast<std::size_t>(raw);
+    values.push_back(*v);
   }
   return values;
 }
 
 std::vector<double> TokenReader::read_vector(const std::string& tag) {
-  expect(tag);
-  std::int64_t n = 0;
-  XDMODML_CHECK(static_cast<bool>(in_ >> n) && n >= 0,
-                "model stream: bad vector length for tag " + tag);
-  std::vector<double> values(static_cast<std::size_t>(n));
-  for (auto& v : values) {
-    XDMODML_CHECK(static_cast<bool>(in_ >> v),
+  const auto n = read_length(tag);
+  std::vector<double> values;
+  values.reserve(static_cast<std::size_t>(std::min(n, kMaxReserve)));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto v = scan_double(next_token());
+    XDMODML_CHECK(v && std::isfinite(*v),
                   "model stream: bad vector element for tag " + tag);
+    values.push_back(*v);
   }
   return values;
 }

@@ -15,6 +15,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xdmodml::ml::io {
@@ -33,7 +34,11 @@ void write_vector(std::ostream& out, const std::string& tag,
 void write_index_vector(std::ostream& out, const std::string& tag,
                         std::span<const std::size_t> values);
 
-/// Token reader with tag validation.
+/// Token reader with tag validation.  Reads one whitespace-delimited
+/// token at a time into a reused buffer (never past it, so several
+/// readers can take turns on one stream) and converts numbers with the
+/// strict scanner of util/number_scan.hpp: the whole token must parse,
+/// and doubles must be finite.
 class TokenReader {
  public:
   explicit TokenReader(std::istream& in) : in_(in) {}
@@ -53,8 +58,10 @@ class TokenReader {
   std::vector<std::size_t> read_index_vector(const std::string& tag);
 
  private:
-  std::string next_token();
+  std::string_view next_token();
+  std::int64_t read_length(const std::string& tag);
   std::istream& in_;
+  std::string token_;
 };
 
 }  // namespace xdmodml::ml::io

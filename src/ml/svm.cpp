@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -415,6 +416,11 @@ BinarySvm BinarySvm::load(std::istream& in) {
                 "corrupt SVM kernel type");
   svm.kernel_.type = static_cast<Kernel::Type>(kernel_type);
   svm.kernel_.gamma = reader.read_double("gamma");
+  // exp(-gamma * d^2) with gamma <= 0 is no RBF kernel: a negative gamma
+  // grows without bound and saturates every probability.
+  XDMODML_CHECK(svm.kernel_.type != Kernel::Type::kRbf ||
+                    svm.kernel_.gamma > 0.0,
+                "corrupt SVM RBF gamma");
   svm.kernel_.degree = reader.read_double("degree");
   svm.kernel_.coef0 = reader.read_double("coef0");
   svm.rho_ = reader.read_double("rho");
@@ -918,13 +924,19 @@ SvmClassifier SvmClassifier::load(std::istream& in) {
   io::TokenReader reader(in);
   reader.expect("svm-ovo-v1");
   SvmClassifier clf;
-  clf.num_classes_ = static_cast<int>(reader.read_int("classes"));
+  // Range-check before narrowing: a class count below 2 (say -1, whose
+  // k(k-1)/2 is 1) would pass the machine-count check and break the
+  // first prediction.
+  const auto k = reader.read_int("classes");
+  XDMODML_CHECK(k >= 2 && k <= std::numeric_limits<int>::max(),
+                "corrupt SVM class count");
+  clf.num_classes_ = static_cast<int>(k);
   clf.config_.probability = reader.read_int("probability") != 0;
   const auto machine_count = reader.read_int("machines");
-  const auto k = static_cast<std::int64_t>(clf.num_classes_);
   XDMODML_CHECK(machine_count == k * (k - 1) / 2,
                 "corrupt one-vs-one machine count");
-  clf.machines_.reserve(static_cast<std::size_t>(machine_count));
+  // No reserve: a corrupt stream's count must not size an allocation,
+  // and machines move cheaply as the vector grows.
   for (std::int64_t i = 0; i < machine_count; ++i) {
     clf.machines_.push_back(BinarySvm::load(in));
   }
@@ -1027,6 +1039,9 @@ SvmRegressor SvmRegressor::load(std::istream& in) {
                 "corrupt SVR kernel type");
   svr.kernel_.type = static_cast<Kernel::Type>(kernel_type);
   svr.kernel_.gamma = reader.read_double("gamma");
+  XDMODML_CHECK(svr.kernel_.type != Kernel::Type::kRbf ||
+                    svr.kernel_.gamma > 0.0,
+                "corrupt SVR RBF gamma");
   svr.kernel_.degree = reader.read_double("degree");
   svr.kernel_.coef0 = reader.read_double("coef0");
   svr.rho_ = reader.read_double("rho");

@@ -1,12 +1,15 @@
 #include "supremm/summary_io.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/number_scan.hpp"
 
 namespace xdmodml::supremm {
 
@@ -24,11 +27,11 @@ const char* label_source_name(LabelSource source) {
   return "?";
 }
 
-LabelSource parse_label_source(const std::string& text) {
+LabelSource parse_label_source(std::string_view text) {
   if (text == "identified") return LabelSource::kIdentified;
   if (text == "uncategorized") return LabelSource::kUncategorized;
   if (text == "na") return LabelSource::kNotAvailable;
-  throw InvalidArgument("unknown label source: " + text);
+  throw InvalidArgument("unknown label source: " + std::string(text));
 }
 
 std::string format_field(double v) {
@@ -38,13 +41,46 @@ std::string format_field(double v) {
   return os.str();
 }
 
-double parse_double(const std::string& text) {
-  // std::from_chars<double> is not reliably available pre-GCC 11 for
-  // doubles; stod with full-consumption validation is sufficient here.
-  std::size_t consumed = 0;
-  const double v = std::stod(text, &consumed);
-  XDMODML_CHECK(consumed == text.size(), "bad numeric field: " + text);
-  return v;
+double double_field(std::string_view text) {
+  const auto v = scan_double(text);
+  XDMODML_CHECK(v.has_value(), "bad numeric field: " + std::string(text));
+  return *v;
+}
+
+// Integer columns parse into their own type, so a value outside it
+// ("-1" nodes, a 2^64-wrapping job id) is rejected instead of cast.
+template <class Int>
+Int int_field(std::string_view text, const char* column) {
+  const auto v = scan_int<Int>(text);
+  XDMODML_CHECK(v.has_value(), std::string("bad integer field ") + column +
+                                   ": " + std::string(text));
+  return *v;
+}
+
+JobSummary parse_job(std::span<const std::string_view> row) {
+  JobSummary job;
+  std::size_t c = 0;
+  job.job_id = int_field<std::uint64_t>(row[c++], "job_id");
+  job.executable_path = row[c++];
+  job.application = row[c++];
+  job.category = row[c++];
+  job.label_source = parse_label_source(row[c++]);
+  job.nodes = int_field<std::uint32_t>(row[c++], "nodes");
+  job.cores_per_node = int_field<std::uint32_t>(row[c++], "cores_per_node");
+  job.wall_seconds = double_field(row[c++]);
+  job.start_epoch_seconds = double_field(row[c++]);
+  job.exit_code = int_field<int>(row[c++], "exit_code");
+  const auto succeeded = row[c++];
+  XDMODML_CHECK(succeeded == "0" || succeeded == "1",
+                "bad application_succeeded field: " + std::string(succeeded));
+  job.application_succeeded = succeeded == "1";
+  for (const auto& info : metric_catalog()) {
+    job.set_mean(info.id, double_field(row[c++]));
+  }
+  for (const auto& info : metric_catalog()) {
+    if (info.has_cov) job.set_cov(info.id, double_field(row[c++]));
+  }
+  return job;
 }
 
 }  // namespace
@@ -92,43 +128,28 @@ void write_jobs_csv(std::ostream& out, std::span<const JobSummary> jobs) {
 }
 
 std::vector<JobSummary> read_jobs_csv(std::istream& in) {
-  const auto doc = parse_csv(in);
+  CsvScanner scanner(in);
   const auto expected = jobs_csv_header();
-  XDMODML_CHECK(doc.header == expected,
+  XDMODML_CHECK(scanner.next() && std::ranges::equal(scanner.fields(),
+                                                     expected),
                 "job CSV header does not match the interchange format");
+  // The scanner holds every data row to the header's width, so parse_job
+  // can index all 59 columns.
   std::vector<JobSummary> jobs;
-  jobs.reserve(doc.rows.size());
-  for (std::size_t r = 0; r < doc.rows.size(); ++r) {
-    const auto& row = doc.rows[r];
+  while (scanner.next()) {
+    const auto row = scanner.fields();
     // Any per-field failure (bad numeric, unknown label source, or the
     // injected `summary_io.read.row` fault) is rethrown with the row
     // position and job id, so a million-row ingest names the one bad
     // record instead of surfacing a bare "bad numeric field".
     try {
       XDMODML_FAILPOINT("summary_io.read.row");
-      JobSummary job;
-      std::size_t c = 0;
-      job.job_id = static_cast<std::uint64_t>(parse_double(row[c++]));
-      job.executable_path = row[c++];
-      job.application = row[c++];
-      job.category = row[c++];
-      job.label_source = parse_label_source(row[c++]);
-      job.nodes = static_cast<std::uint32_t>(parse_double(row[c++]));
-      job.cores_per_node = static_cast<std::uint32_t>(parse_double(row[c++]));
-      job.wall_seconds = parse_double(row[c++]);
-      job.start_epoch_seconds = parse_double(row[c++]);
-      job.exit_code = static_cast<int>(parse_double(row[c++]));
-      job.application_succeeded = row[c++] == "1";
-      for (const auto& info : metric_catalog()) {
-        job.set_mean(info.id, parse_double(row[c++]));
-      }
-      for (const auto& info : metric_catalog()) {
-        if (info.has_cov) job.set_cov(info.id, parse_double(row[c++]));
-      }
-      jobs.push_back(std::move(job));
-    } catch (const std::exception& e) {  // std::stod throws std:: types too
-      throw InvalidArgument("job CSV data row " + std::to_string(r + 1) +
-                            " (job_id field '" + row[0] +
+      jobs.push_back(parse_job(row));
+    } catch (const Error& e) {
+      throw InvalidArgument("job CSV data row " +
+                            std::to_string(scanner.row()) + " (line " +
+                            std::to_string(scanner.line()) +
+                            ", job_id field '" + std::string(row[0]) +
                             "'): " + e.what());
     }
   }

@@ -19,8 +19,12 @@ namespace xdmodml::supremm {
 /// Writes the header plus one row per job.
 void write_jobs_csv(std::ostream& out, std::span<const JobSummary> jobs);
 
-/// Reads a document written by `write_jobs_csv`.  Throws InvalidArgument
-/// on any header/shape mismatch or unparsable field.
+/// Reads a document written by `write_jobs_csv`, one streamed record at
+/// a time.  Throws InvalidArgument on any header/shape mismatch or
+/// unparsable field, naming the data row and its physical line: numbers
+/// must match the strict grammar of util/number_scan.hpp, integer
+/// columns must fit their type, and `application_succeeded` must be 0
+/// or 1.
 std::vector<JobSummary> read_jobs_csv(std::istream& in);
 
 /// The column names of the interchange format, in order.

@@ -249,6 +249,157 @@ TEST(ModelIo, SvrRoundTrip) {
   }
 }
 
+template <class Model>
+std::string saved(const Model& model) {
+  std::ostringstream out;
+  model.save(out);
+  return out.str();
+}
+
+// save(load(bytes)) == bytes: the loader reads back every serialized
+// value exactly, so a second save reproduces the stream byte for byte.
+template <class Model>
+void expect_byte_identity(const Model& model) {
+  const auto bytes = saved(model);
+  std::istringstream in(bytes);
+  EXPECT_EQ(saved(Model::load(in)), bytes);
+}
+
+TEST(ModelIo, EveryModelReSavesByteIdentical) {
+  const auto ds = blob_dataset(30);
+  {
+    SCOPED_TRACE("svm");
+    ml::SvmConfig cfg;
+    cfg.kernel = ml::Kernel::rbf(0.5);
+    cfg.c = 10.0;
+    cfg.probability = true;
+    ml::SvmClassifier svm(cfg, 7);
+    svm.fit(ds.X, ds.labels, 3);
+    expect_byte_identity(svm);
+  }
+  {
+    SCOPED_TRACE("svr");
+    ml::SvmConfig cfg;
+    cfg.kernel = ml::Kernel::rbf(1.0);
+    cfg.epsilon = 0.05;
+    ml::SvmRegressor svr(cfg);
+    std::vector<double> y;
+    for (std::size_t r = 0; r < ds.X.rows(); ++r) {
+      y.push_back(std::sin(ds.X(r, 0)));
+    }
+    svr.fit(ds.X, y);
+    expect_byte_identity(svr);
+    SCOPED_TRACE("forest regressor");
+    ml::ForestConfig forest_cfg;
+    forest_cfg.num_trees = 8;
+    ml::RandomForestRegressor rfr(forest_cfg, 5);
+    rfr.fit(ds.X, y);
+    expect_byte_identity(rfr);
+  }
+  {
+    SCOPED_TRACE("forest classifier");
+    ml::ForestConfig cfg;
+    cfg.num_trees = 8;
+    ml::RandomForestClassifier rf(cfg, 3);
+    rf.fit(ds.X, ds.labels, 3);
+    expect_byte_identity(rf);
+  }
+  {
+    SCOPED_TRACE("naive bayes");
+    ml::NaiveBayesClassifier nb;
+    nb.fit(ds.X, ds.labels, 4);  // the unseen class saves its sentinel
+    expect_byte_identity(nb);
+  }
+  {
+    SCOPED_TRACE("standardizer");
+    ml::Standardizer st;
+    st.fit(ds.X);
+    expect_byte_identity(st);
+  }
+}
+
+TEST(ModelIo, JobClassifierReSavesByteIdentical) {
+  auto gen = workload::WorkloadGenerator::standard({}, 23);
+  std::vector<workload::GeneratedJob> jobs;
+  for (const auto& app : {"VASP", "NAMD", "GROMACS"}) {
+    auto batch = gen.generate_for(app, 20);
+    jobs.insert(jobs.end(), std::make_move_iterator(batch.begin()),
+                std::make_move_iterator(batch.end()));
+  }
+  const auto train = workload::build_summary_dataset(
+      jobs, supremm::AttributeSchema::full(),
+      supremm::label_by_application());
+  for (const auto algorithm :
+       {core::Algorithm::kSvm, core::Algorithm::kRandomForest,
+        core::Algorithm::kNaiveBayes}) {
+    SCOPED_TRACE(core::algorithm_name(algorithm));
+    core::JobClassifierConfig cfg;
+    cfg.algorithm = algorithm;
+    cfg.forest.num_trees = 8;
+    core::JobClassifier clf(cfg);
+    clf.train(train);
+    expect_byte_identity(clf);
+  }
+}
+
+// `text` with the value on the first `tag` line replaced.
+std::string with_value(std::string text, const std::string& tag,
+                       const std::string& value) {
+  const auto at = text.find("\n" + tag + " ");
+  EXPECT_NE(at, std::string::npos) << tag;
+  const auto begin = at + tag.size() + 2;
+  text.replace(begin, text.find('\n', begin) - begin, value);
+  return text;
+}
+
+std::string two_class_svm() {
+  auto ds = blob_dataset(20);
+  for (auto& label : ds.labels) label = label == 0 ? 0 : 1;
+  ml::SvmConfig cfg;
+  cfg.kernel = ml::Kernel::rbf(0.5);
+  cfg.probability = true;
+  ml::SvmClassifier svm(cfg, 3);
+  svm.fit(ds.X, ds.labels, 2);
+  return saved(svm);
+}
+
+TEST(ModelIo, SvmClassCountIsRangeChecked) {
+  // classes -1 gives k(k-1)/2 = 1, so the one-machine stream passed the
+  // machine-count check, loaded, and segfaulted on first use.
+  const auto svm = two_class_svm();
+  for (const char* classes : {"-1", "0", "1", "2147483648"}) {
+    SCOPED_TRACE(classes);
+    std::istringstream in(with_value(svm, "classes", classes));
+    EXPECT_THROW(ml::SvmClassifier::load(in), InvalidArgument);
+  }
+  std::istringstream in(with_value(svm, "classes", "2"));
+  EXPECT_EQ(ml::SvmClassifier::load(in).num_machines(), 1u);
+}
+
+TEST(ModelIo, RbfGammaMustBePositive) {
+  // gamma -5 loaded and predicted p = 1 for every query.
+  const auto svm = two_class_svm();
+  for (const char* gamma : {"-5", "0", "-0"}) {
+    SCOPED_TRACE(gamma);
+    std::istringstream in(with_value(svm, "gamma", gamma));
+    EXPECT_THROW(ml::SvmClassifier::load(in), InvalidArgument);
+  }
+  Rng rng(44);
+  Matrix X;
+  std::vector<double> y;
+  for (int i = 0; i < 40; ++i) {
+    const double a = rng.uniform(-2.0, 2.0);
+    X.append_row(std::vector<double>{a});
+    y.push_back(a * a);
+  }
+  ml::SvmConfig cfg;
+  cfg.kernel = ml::Kernel::rbf(1.0);
+  ml::SvmRegressor svr(cfg);
+  svr.fit(X, y);
+  std::istringstream in(with_value(saved(svr), "gamma", "-5"));
+  EXPECT_THROW(ml::SvmRegressor::load(in), InvalidArgument);
+}
+
 TEST(ModelIo, CorruptStreamsRejected) {
   std::istringstream garbage("not-a-model 42");
   EXPECT_THROW(ml::RandomForestClassifier::load(garbage), InvalidArgument);
