@@ -1,5 +1,5 @@
 // Compiled SVM inference plan: single-query and batched prediction
-// throughput, compiled vs legacy, f32 vs f64 pools, SIMD vs scalar.
+// throughput, compiled vs legacy, SIMD vs scalar.
 //
 // The paper's deployment story pushes every unidentified job through a
 // 20-class one-vs-one SVM (190 machines, rbf γ=0.1, C=1000).  The
@@ -9,12 +9,11 @@
 // row per query through the SIMD microkernels, and reduces each
 // machine as a sparse coef-dot.  This bench trains the Table-2 model,
 // verifies the two paths agree (labels identical, f64 decision values
-// within 1e-10), reports the pool's dedup ratio, and times six arms:
+// within 1e-10), reports the pool's dedup ratio, and times five arms:
 //
 //   legacy_single / legacy_batch      — old path (native ISA)
 //   legacy_single_scalar              — old path, XDMODML_SIMD=scalar
 //   compiled_single / compiled_batch  — plan path (native ISA)
-//   compiled_batch_f32                — plan path, float32 pool
 //   compiled_batch_scalar             — plan path, scalar microkernels
 //
 // Acceptance gate (ISSUE 10): compiled+SIMD batched predict_proba must
@@ -153,36 +152,21 @@ void run_experiment() {
   }
   if (!verify_paths(svm, probes)) return;
 
-  // f32 arm rides a copy so the f64 plan above stays live for the
-  // other arms; labels must not change under quantization.
-  ml::SvmClassifier svm32 = svm;
-  svm32.set_plan_precision(ml::GramPrecision::kFloat32);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
-  if (svm32.predict_batch(probes) != svm.predict_batch(probes)) {
-    std::printf("ERROR: f32 pool changes predicted labels\n");
-    return;
-  }
-
   struct Arm {
     const char* op;
     ml::SvmPredictMode mode;
     simd::Isa isa;
-    const ml::SvmClassifier* clf;
     bool batch;
   };
   const Arm arms[] = {
-      {"legacy_single", ml::SvmPredictMode::kLegacy, best_isa, &svm, false},
+      {"legacy_single", ml::SvmPredictMode::kLegacy, best_isa, false},
       {"legacy_single_scalar", ml::SvmPredictMode::kLegacy,
-       simd::Isa::kScalar, &svm, false},
-      {"legacy_batch", ml::SvmPredictMode::kLegacy, best_isa, &svm, true},
-      {"compiled_single", ml::SvmPredictMode::kCompiled, best_isa, &svm,
-       false},
-      {"compiled_batch", ml::SvmPredictMode::kCompiled, best_isa, &svm,
-       true},
-      {"compiled_batch_f32", ml::SvmPredictMode::kCompiled, best_isa,
-       &svm32, true},
+       simd::Isa::kScalar, false},
+      {"legacy_batch", ml::SvmPredictMode::kLegacy, best_isa, true},
+      {"compiled_single", ml::SvmPredictMode::kCompiled, best_isa, false},
+      {"compiled_batch", ml::SvmPredictMode::kCompiled, best_isa, true},
       {"compiled_batch_scalar", ml::SvmPredictMode::kCompiled,
-       simd::Isa::kScalar, &svm, true},
+       simd::Isa::kScalar, true},
   };
 
   TextTable table({"arm", "ms (median)", "probes/sec"});
@@ -193,8 +177,8 @@ void run_experiment() {
     simd::set_active(arm.isa);
     const auto t = time_median_ms(
         [&] {
-          benchmark::DoNotOptimize(arm.batch ? sweep_batch(*arm.clf, probes)
-                                             : sweep_single(*arm.clf, probes));
+          benchmark::DoNotOptimize(arm.batch ? sweep_batch(svm, probes)
+                                             : sweep_single(svm, probes));
         },
         /*repeats=*/3);
     simd::set_active(best_isa);

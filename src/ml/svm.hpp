@@ -51,13 +51,6 @@ struct SvmConfig {
   /// doubles the rows the byte budget affords and halves reuse
   /// bandwidth; float64 is the exact ablation arm (run-time flag).
   GramPrecision cache_precision = GramPrecision::kFloat32;
-  /// Storage precision of the compiled inference plan's deduplicated
-  /// support-vector pool (see ml/svm_plan.hpp).  Float64 (default)
-  /// keeps compiled decision values within ~1e-10 of the legacy scalar
-  /// path; float32 halves the pool bytes at a magnitude-scaled accuracy
-  /// cost (the paper's features are standardized, so coordinates are
-  /// O(1) and the quantization error is benign).
-  GramPrecision plan_precision = GramPrecision::kFloat64;
 };
 
 /// Parameters of a fitted Platt sigmoid  P(+1|f) = 1/(1+exp(A f + B)).
@@ -223,10 +216,12 @@ class SvmClassifier final : public Classifier {
   Prediction predict_with_probability(
       std::span<const double> x) const override;
 
-  /// Fused batch entry points: in compiled mode, blocks of query rows
-  /// are swept against the shared support-vector pool (one pool read
-  /// serves the whole block); in legacy mode these fall back to the
-  /// per-row base-class loop.  Results match the single-row calls.
+  /// Fused batch entry points: in compiled mode, tiles of up to 8 query
+  /// rows are swept against the shared support-vector pool (one pool
+  /// read serves the tile) and every machine is reduced over the tile's
+  /// lanes at once, the tiles fanned out on the thread pool; in legacy
+  /// mode these fall back to the per-row base-class loop.  Results equal
+  /// the single-row calls bit for bit.
   std::vector<int> predict_batch(const Matrix& X) const override;
   std::vector<std::vector<double>> predict_proba_batch(
       const Matrix& X) const override;
@@ -241,10 +236,6 @@ class SvmClassifier final : public Classifier {
   /// The plan if some caller already forced its construction, else
   /// nullptr — report/metrics hooks peek without paying for a build.
   std::shared_ptr<const SvmInferencePlan> plan_if_built() const;
-
-  /// Re-arms the plan with a new pool storage precision (f32/f64
-  /// A/B arm).  Not thread-safe against concurrent predictions.
-  void set_plan_precision(GramPrecision precision);
 
   int num_classes() const override { return num_classes_; }
   std::size_t num_machines() const { return machines_.size(); }
@@ -262,12 +253,6 @@ class SvmClassifier final : public Classifier {
 
   /// True when this call should ride the compiled plan.
   bool use_compiled() const;
-  /// predict_proba computed from a plan kernel row (coupled
-  /// probabilities or vote fractions, mirroring the legacy rules).
-  std::vector<double> proba_from_kernel_row(
-      const SvmInferencePlan& plan, std::span<const double> krow) const;
-  int votes_from_kernel_row(const SvmInferencePlan& plan,
-                            std::span<const double> krow) const;
 
   SvmConfig config_;
   std::uint64_t seed_;

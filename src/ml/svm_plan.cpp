@@ -16,10 +16,7 @@ namespace xdmodml::ml {
 
 namespace {
 
-// Pool rows swept per pass.  A block of support vectors is streamed from
-// memory once and reused for every query of a batch, so the block must
-// fit in L1/L2 alongside a query row: 256 rows × 32 doubles ≈ 64 KiB.
-constexpr std::size_t kPoolBlock = 256;
+constexpr std::size_t kLanes = simd::kTileQueries;
 
 // Mirrors kernel.cpp: integral degrees up to this bound use
 // exponentiation by squaring (bit-identical to the scalar kernel path).
@@ -75,6 +72,18 @@ struct PlanMetrics {
   }
 };
 
+// svm.predict.queries / .kernel_row_elements: one tick per query served
+// through kernel_row or a kernel_tile lane it fills.
+void count_queries(std::size_t queries, std::size_t unique) {
+  static auto& queries_counter =
+      obs::MetricsRegistry::instance().counter("svm.predict.queries");
+  static auto& elements_counter =
+      obs::MetricsRegistry::instance().counter(
+          "svm.predict.kernel_row_elements");
+  queries_counter.inc(queries);
+  elements_counter.inc(queries * unique);
+}
+
 }  // namespace
 
 SvmPredictMode svm_predict_mode() {
@@ -102,19 +111,23 @@ std::optional<SvmPredictMode> svm_predict_mode_from_string(
 }
 
 std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
-    std::span<const BinarySvm> machines, GramPrecision precision) {
+    std::span<const BinarySvm> machines) {
   XDMODML_CHECK(!machines.empty(), "inference plan needs trained machines");
 
   auto plan = std::shared_ptr<SvmInferencePlan>(new SvmInferencePlan());
   plan->kernel_ = machines[0].kernel();
-  plan->precision_ = precision;
   plan->dims_ = machines[0].support_vectors().cols();
-  if (plan->kernel_.type == Kernel::Type::kPolynomial &&
-      plan->kernel_.degree > 0.0 &&
-      plan->kernel_.degree <= kMaxIntegralDegree &&
-      plan->kernel_.degree == std::floor(plan->kernel_.degree)) {
-    plan->integral_degree_ = true;
-    plan->degree_int_ = static_cast<std::uint64_t>(plan->kernel_.degree);
+  const Kernel& kern = plan->kernel_;
+  auto& rk = plan->row_kernel_;
+  rk.gamma = kern.gamma;
+  rk.coef0 = kern.coef0;
+  if (kern.type == Kernel::Type::kRbf) {
+    rk.kind = simd::RowKernel::Kind::kRbf;
+  } else if (kern.type == Kernel::Type::kPolynomial && kern.degree > 0.0 &&
+             kern.degree <= kMaxIntegralDegree &&
+             kern.degree == std::floor(kern.degree)) {
+    rk.kind = simd::RowKernel::Kind::kPolyPowi;
+    rk.degree = static_cast<std::uint64_t>(kern.degree);
   }
 
   // Every one-vs-one machine of a fit shares one kernel; a mixed set
@@ -146,8 +159,8 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
   }
   plan->provenance_ = provenance;
 
-  // Stage the unique rows in double regardless of the target precision;
-  // content keying compares the original doubles bit-exactly.
+  // Stage the unique rows row-major; content keying compares them
+  // bit-exactly, and the panels are packed from them afterwards.
   const std::size_t d = plan->dims_;
   std::vector<double> staging;
   staging.reserve(machines[0].num_support_vectors() * d);
@@ -192,32 +205,22 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
     if (slice.has_platt) slice.sigmoid = m.sigmoid();
     plan->machines_.push_back(std::move(slice));
   }
-
-  plan->unique_ = staging.size() / d;
-  if (precision == GramPrecision::kFloat32) {
-    // Quantize the coordinates; kernels evaluate in double on the
-    // widened values, and the cached norms match the quantized pool so
-    // the norm expansion stays self-consistent.
-    plan->pool_f32_.resize(staging.size());
-    for (std::size_t i = 0; i < staging.size(); ++i) {
-      plan->pool_f32_[i] = static_cast<float>(staging[i]);
-    }
-    plan->sq_norms_.resize(plan->unique_);
-    std::vector<double> wide(d);
-    for (std::size_t j = 0; j < plan->unique_; ++j) {
-      for (std::size_t i = 0; i < d; ++i) {
-        wide[i] = static_cast<double>(plan->pool_f32_[j * d + i]);
-      }
-      plan->sq_norms_[j] = simd::squared_norm(wide.data(), d);
-    }
-  } else {
-    plan->pool_f64_ = std::move(staging);
-    plan->sq_norms_.resize(plan->unique_);
-    for (std::size_t j = 0; j < plan->unique_; ++j) {
-      plan->sq_norms_[j] =
-          simd::squared_norm(plan->pool_f64_.data() + j * d, d);
-    }
+  for (const auto& slice : plan->machines_) {
+    plan->ovo_.push_back({slice.sv_pool_idx.data(), slice.coef.data(),
+                          slice.coef.size(), slice.rho});
   }
+
+  // Pack the staged rows panel-major in place, so the pool is never held
+  // twice; the last panel's missing rows are zero, with zero norms.
+  const std::size_t unique = staging.size() / d;
+  plan->unique_ = unique;
+  plan->sq_norms_.assign(simd::panel_rows(unique), 0.0);
+  for (std::size_t j = 0; j < unique; ++j) {
+    plan->sq_norms_[j] = simd::squared_norm(staging.data() + j * d, d);
+  }
+  staging.resize(simd::panel_rows(unique) * d, 0.0);
+  simd::pack_panels(staging.data(), unique, d);
+  plan->panels_ = std::move(staging);
 
   auto& metrics = PlanMetrics::instance();
   metrics.unique_svs.set(static_cast<std::int64_t>(plan->unique_));
@@ -225,7 +228,7 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
   metrics.dedup_ratio_x1000.set(
       static_cast<std::int64_t>(plan->dedup_ratio() * 1000.0));
   metrics.pool_bytes.set(static_cast<std::int64_t>(plan->pool_bytes()));
-  metrics.precision_bits.set(precision == GramPrecision::kFloat32 ? 32 : 64);
+  metrics.precision_bits.set(64);
   metrics.builds.inc();
   return plan;
 }
@@ -237,80 +240,24 @@ double SvmInferencePlan::dedup_ratio() const {
 }
 
 std::size_t SvmInferencePlan::pool_bytes() const {
-  return unique_ * dims_ *
-         (precision_ == GramPrecision::kFloat32 ? sizeof(float)
-                                                : sizeof(double));
+  return unique_ * dims_ * sizeof(double);
 }
 
-void SvmInferencePlan::transform_block(std::span<const double> x, double x_sq,
-                                       const double* rows, std::size_t lo,
-                                       std::size_t hi, double* out) const {
-  const std::size_t len = hi - lo;
-  simd::dot_rows(x.data(), rows, dims_, len, out + lo);
-  switch (kernel_.type) {
-    case Kernel::Type::kLinear:
-      break;
-    case Kernel::Type::kRbf:
-      simd::rbf_row_transform(out + lo, sq_norms_.data() + lo, len, x_sq,
-                              kernel_.gamma);
-      break;
-    case Kernel::Type::kPolynomial: {
-      const double g = kernel_.gamma;
-      const double c0 = kernel_.coef0;
-      if (integral_degree_) {
-        simd::poly_row_transform_powi(out + lo, len, g, c0, degree_int_);
-      } else {
-        for (std::size_t j = lo; j < hi; ++j) {
-          out[j] = std::pow(g * out[j] + c0, kernel_.degree);
-        }
-      }
-      break;
-    }
-  }
+double SvmInferencePlan::query_sq_norm(const double* x) const {
+  return row_kernel_.kind == simd::RowKernel::Kind::kRbf
+             ? simd::squared_norm(x, dims_)
+             : 0.0;
 }
 
-void SvmInferencePlan::kernel_rows(const double* queries, std::size_t b,
-                                   double* out) const {
-  if (b == 0) return;
-  static auto& queries_counter =
-      obs::MetricsRegistry::instance().counter("svm.predict.queries");
-  static auto& elements_counter =
-      obs::MetricsRegistry::instance().counter(
-          "svm.predict.kernel_row_elements");
-  queries_counter.inc(b);
-  elements_counter.inc(b * unique_);
-
-  const bool rbf = kernel_.type == Kernel::Type::kRbf;
-  std::vector<double> x_sq(rbf ? b : 0, 0.0);
-  if (rbf) {
-    for (std::size_t q = 0; q < b; ++q) {
-      x_sq[q] = simd::squared_norm(queries + q * dims_, dims_);
-    }
+void SvmInferencePlan::finish_pow(double* out, std::size_t n,
+                                  std::size_t stride) const {
+  if (kernel_.type != Kernel::Type::kPolynomial ||
+      row_kernel_.kind == simd::RowKernel::Kind::kPolyPowi) {
+    return;
   }
-
-  // Pool-block outer, query inner: each block of support vectors is
-  // read from memory once per b queries.
-  std::vector<double> wide;
-  if (precision_ == GramPrecision::kFloat32) {
-    wide.resize(std::min(kPoolBlock, unique_) * dims_);
-  }
-  for (std::size_t lo = 0; lo < unique_; lo += kPoolBlock) {
-    const std::size_t hi = std::min(lo + kPoolBlock, unique_);
-    const double* rows = nullptr;
-    if (precision_ == GramPrecision::kFloat32) {
-      const std::size_t n = (hi - lo) * dims_;
-      const float* src = pool_f32_.data() + lo * dims_;
-      for (std::size_t i = 0; i < n; ++i) {
-        wide[i] = static_cast<double>(src[i]);
-      }
-      rows = wide.data();
-    } else {
-      rows = pool_f64_.data() + lo * dims_;
-    }
-    for (std::size_t q = 0; q < b; ++q) {
-      transform_block({queries + q * dims_, dims_}, rbf ? x_sq[q] : 0.0,
-                      rows, lo, hi, out + q * unique_);
-    }
+  for (std::size_t j = 0; j < n; ++j) {
+    double& v = out[j * stride];
+    v = std::pow(kernel_.gamma * v + kernel_.coef0, kernel_.degree);
   }
 }
 
@@ -318,7 +265,11 @@ void SvmInferencePlan::kernel_row(std::span<const double> x,
                                   std::span<double> out) const {
   XDMODML_CHECK(x.size() == dims_, "kernel_row probe width mismatch");
   XDMODML_CHECK(out.size() >= unique_, "kernel_row output too small");
-  kernel_rows(x.data(), 1, out.data());
+  count_queries(1, unique_);
+  simd::kernel_row_panels(x.data(), query_sq_norm(x.data()), dims_,
+                          panels_.data(), sq_norms_.data(), unique_,
+                          row_kernel_, out.data());
+  finish_pow(out.data(), unique_, 1);
 }
 
 double SvmInferencePlan::decision_value(std::size_t idx,
@@ -330,6 +281,42 @@ double SvmInferencePlan::decision_value(std::size_t idx,
     f += slice.coef[s] * krow[slice.sv_pool_idx[s]];
   }
   return f;
+}
+
+SvmInferencePlan::Tile SvmInferencePlan::make_tile() const {
+  Tile tile;
+  tile.queries_t.assign(dims_ * kLanes, 0.0);
+  tile.x_sq.assign(kLanes, 0.0);
+  tile.krows.assign(simd::panel_rows(unique_) * kLanes, 0.0);
+  return tile;
+}
+
+void SvmInferencePlan::kernel_tile(const double* queries, std::size_t b,
+                                   Tile& tile) const {
+  XDMODML_CHECK(b >= 1 && b <= kLanes, "kernel_tile takes 1 to 8 queries");
+  XDMODML_CHECK(tile.krows.size() == simd::panel_rows(unique_) * kLanes &&
+                    tile.queries_t.size() == dims_ * kLanes,
+                "kernel_tile scratch from another plan");
+  count_queries(b, unique_);
+  // Transpose the block into feature-major lanes; unused lanes are the
+  // zero vector.
+  for (std::size_t q = 0; q < kLanes; ++q) {
+    const double* x = q < b ? queries + q * dims_ : nullptr;
+    for (std::size_t f = 0; f < dims_; ++f) {
+      tile.queries_t[f * kLanes + q] = x != nullptr ? x[f] : 0.0;
+    }
+    tile.x_sq[q] = x != nullptr ? query_sq_norm(x) : 0.0;
+  }
+  simd::kernel_tile(tile.queries_t.data(), tile.x_sq.data(), dims_,
+                    panels_.data(), sq_norms_.data(), unique_, row_kernel_,
+                    tile.krows.data());
+  for (std::size_t q = 0; q < kLanes; ++q) {
+    finish_pow(tile.krows.data() + q, unique_, kLanes);
+  }
+}
+
+void SvmInferencePlan::decision_values(const Tile& tile, double* out) const {
+  simd::ovo_reduce_tile(tile.krows.data(), ovo_.data(), ovo_.size(), out);
 }
 
 }  // namespace xdmodml::ml

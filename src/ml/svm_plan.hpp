@@ -9,24 +9,25 @@
 // has K(x, row) recomputed once per machine on every query.
 //
 // The plan fixes that once per model:
-//  * all machines' support vectors are merged into ONE row-major pool of
-//    unique rows — keyed on full-matrix row provenance (`sv_full_rows_`)
-//    when every machine carries it, content (bit-exact row bytes)
-//    otherwise — with per-row squared norms precomputed;
+//  * all machines' support vectors are merged into ONE pool of unique
+//    rows — keyed on full-matrix row provenance (`sv_full_rows_`) when
+//    every machine carries it, content (bit-exact row bytes) otherwise —
+//    stored panel-major (8 rows per panel, feature-major inside; see
+//    util/simd.hpp) with per-row squared norms precomputed;
 //  * prediction computes ONE fused kernel row K(x, pool) through the
-//    runtime-dispatched SIMD microkernels (util/simd.hpp: the blocked
-//    4-rows-per-pass dot sweep + vectorized RBF/poly transforms; the
-//    scalar table serves XDMODML_SIMD=scalar builds/CPUs identically);
+//    runtime-dispatched SIMD microkernels (util/simd.hpp; the scalar
+//    table serves XDMODML_SIMD=scalar builds/CPUs);
 //  * each one-vs-one machine reduces its decision value as a sparse
 //    coefficient dot over indices into that shared row;
-//  * a batched entry point evaluates B queries per pool block, so a
-//    block of support vectors is read from memory once per B queries.
+//  * a batched entry point evaluates a tile of up to 8 queries per pool
+//    pass, so the pool is read from memory once per tile, and reduces
+//    every machine over the tile's query lanes at once.
 //
-// Storage precision mirrors GramPrecision: kFloat64 (the default) keeps
-// decision values within ~1e-10 of the legacy scalar walk; kFloat32
-// halves the pool bytes by quantizing support-vector *coordinates* to
-// float (kernels are still evaluated in double on the widened values,
-// and the precomputed norms are consistent with the quantized pool).
+// A query's kernel row, decision values and so its label and probability
+// are the same bits whether it is predicted alone or in any tile lane:
+// the tile and the single-query row compute each element in one order,
+// and the tile reduce rounds like decision_value (util/simd.hpp).
+// Decision values stay within ~1e-10 of the legacy scalar walk.
 //
 // The legacy path remains runtime-selectable via XDMODML_SVM_PREDICT
 // (see SvmPredictMode below) and is bit-identical to its pre-plan
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "ml/svm.hpp"
+#include "util/simd.hpp"
 
 namespace xdmodml::ml {
 
@@ -89,16 +91,16 @@ class SvmInferencePlan {
   /// with bit-exact verification otherwise.  Updates the svm.plan.*
   /// gauges.  Requires at least one trained machine.
   static std::shared_ptr<const SvmInferencePlan> build(
-      std::span<const BinarySvm> machines, GramPrecision precision);
+      std::span<const BinarySvm> machines);
 
   std::size_t unique_support_vectors() const { return unique_; }
   std::size_t total_support_vectors() const { return total_; }
   /// total / unique — how many machines the average pool row serves.
   double dedup_ratio() const;
   std::size_t dims() const { return dims_; }
-  GramPrecision precision() const { return precision_; }
   bool provenance_keyed() const { return provenance_; }
-  /// Bytes of pool storage (support-vector payload at `precision`).
+  /// Bytes of support-vector payload in the pool (f64 coordinates; the
+  /// last panel's zero padding is not counted).
   std::size_t pool_bytes() const;
   const Kernel& kernel() const { return kernel_; }
   std::size_t num_machines() const { return machines_.size(); }
@@ -110,38 +112,55 @@ class SvmInferencePlan {
   /// One fused SIMD sweep; out.size() must be >= the pool size.
   void kernel_row(std::span<const double> x, std::span<double> out) const;
 
-  /// Batched form: `queries` is b contiguous row-major query rows of
-  /// dims() doubles; out is b × unique_support_vectors() row-major.
-  /// Processes the pool block-outer / query-inner so each block of
-  /// support vectors is streamed from memory once per b queries.
-  void kernel_rows(const double* queries, std::size_t b, double* out) const;
-
   /// Decision value of machine `idx` against a kernel row produced by
-  /// kernel_row(s) for the query.
+  /// kernel_row for the query: −rho + Σ_s coef[s]·krow[pool index s],
+  /// summed in s order.
   double decision_value(std::size_t idx,
                         std::span<const double> krow) const;
 
+  /// Buffers for one tile of up to kTileQueries queries.  Make one per
+  /// worker with make_tile() and reuse it for every tile it serves.
+  struct Tile {
+    std::vector<double> queries_t;  ///< dims × kTileQueries, feature-major
+    std::vector<double> x_sq;       ///< squared query norms, per lane
+    std::vector<double> krows;      ///< padded pool rows × kTileQueries
+  };
+  Tile make_tile() const;
+
+  /// Kernel rows of `b` (1..kTileQueries) row-major queries of dims()
+  /// doubles into tile.krows, query-lane-major:
+  /// tile.krows[j·kTileQueries + q] equals kernel_row(query q)[j] bit for
+  /// bit.  Lanes q >= b hold the kernel row of the zero vector.
+  void kernel_tile(const double* queries, std::size_t b, Tile& tile) const;
+
+  /// Decision values of every machine for every lane of a kernel_tile:
+  /// out[m·kTileQueries + q] equals decision_value(m, row of lane q) bit
+  /// for bit.  Reads each machine's coefficients and pool indices once
+  /// for the whole tile; `out` holds num_machines() × kTileQueries.
+  void decision_values(const Tile& tile, double* out) const;
+
  private:
   SvmInferencePlan() = default;
+  // ovo_ points into machines_, so a plan is never copied.
+  SvmInferencePlan(const SvmInferencePlan&) = delete;
+  SvmInferencePlan& operator=(const SvmInferencePlan&) = delete;
 
-  /// Pool rows [lo, hi) for one query: SIMD dot sweep + kernel
-  /// transform into out[lo..hi).  `rows` is the (widened) block base.
-  void transform_block(std::span<const double> x, double x_sq,
-                       const double* rows, std::size_t lo, std::size_t hi,
-                       double* out) const;
+  /// ‖x‖² where the kernel reads it (RBF), else 0.
+  double query_sq_norm(const double* x) const;
+  /// Finishes non-integral polynomial kernels, which the SIMD kernels
+  /// leave as raw dots: out[j·stride] = (γ·dot + c0)^degree, j < n.
+  void finish_pow(double* out, std::size_t n, std::size_t stride) const;
 
   Kernel kernel_;
-  GramPrecision precision_ = GramPrecision::kFloat64;
+  simd::RowKernel row_kernel_;     ///< what the SIMD kernels fuse
   bool provenance_ = false;
   std::size_t dims_ = 0;
   std::size_t unique_ = 0;
   std::size_t total_ = 0;
-  std::vector<double> pool_f64_;   ///< unique_ × dims_ (kFloat64 arm)
-  std::vector<float> pool_f32_;    ///< unique_ × dims_ (kFloat32 arm)
-  std::vector<double> sq_norms_;   ///< ‖pool_j‖² over the stored values
-  bool integral_degree_ = false;   ///< polynomial degree is a small int
-  std::uint64_t degree_int_ = 0;
+  std::vector<double> panels_;     ///< panel-major pool (util/simd.hpp)
+  std::vector<double> sq_norms_;   ///< ‖pool_j‖², zero-padded like panels_
   std::vector<MachineSlice> machines_;
+  std::vector<simd::OvoMachine> ovo_;  ///< views of machines_ for the reduce
 };
 
 }  // namespace xdmodml::ml

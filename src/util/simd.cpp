@@ -1,9 +1,11 @@
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "util/simd_ops.hpp"
 
@@ -50,13 +52,82 @@ void poly_row_transform_powi_scalar(double* dots, std::size_t n, double gamma,
   }
 }
 
+// One serving element: query x (features `x_stride` apart) against row
+// r of a panel, then the kernel.  Both serving entry points call this,
+// so a query's element is one arithmetic sequence wherever it sits.
+double panel_element(const double* x, std::size_t x_stride,
+                     const double* panel, std::size_t r, std::size_t d,
+                     double x_sq, double sq_norm, const RowKernel& kernel) {
+  double dot = 0.0;
+  for (std::size_t f = 0; f < d; ++f) {
+    dot += x[f * x_stride] * panel[f * kPanelRows + r];
+  }
+  switch (kernel.kind) {
+    case RowKernel::Kind::kDot:
+      break;
+    case RowKernel::Kind::kRbf:
+      return std::exp(-kernel.gamma * clamped_sq_dist(x_sq, sq_norm, dot));
+    case RowKernel::Kind::kPolyPowi:
+      return powi(kernel.gamma * dot + kernel.coef0, kernel.degree);
+  }
+  return dot;
+}
+
+void kernel_row_panels_scalar(const double* x, double x_sq, std::size_t d,
+                              const double* panels, const double* sq_norms,
+                              std::size_t n_rows, const RowKernel& kernel,
+                              double* out) {
+  for (std::size_t j = 0; j < n_rows; ++j) {
+    const double* panel = panels + (j / kPanelRows) * d * kPanelRows;
+    out[j] = panel_element(x, 1, panel, j % kPanelRows, d, x_sq, sq_norms[j],
+                           kernel);
+  }
+}
+
+void kernel_tile_scalar(const double* queries_t, const double* x_sq,
+                        std::size_t d, const double* panels,
+                        const double* sq_norms, std::size_t n_rows,
+                        const RowKernel& kernel, double* out) {
+  for (std::size_t j = 0; j < panel_rows(n_rows); ++j) {
+    const double* panel = panels + (j / kPanelRows) * d * kPanelRows;
+    for (std::size_t q = 0; q < kTileQueries; ++q) {
+      out[j * kTileQueries + q] =
+          panel_element(queries_t + q, kTileQueries, panel, j % kPanelRows, d,
+                        x_sq[q], sq_norms[j], kernel);
+    }
+  }
+}
+
+void ovo_reduce_tile_scalar(const double* block, const OvoMachine* machines,
+                            std::size_t count, double* f) {
+  for (std::size_t m = 0; m < count; ++m) {
+    const OvoMachine& mach = machines[m];
+    double acc[kTileQueries];
+    for (auto& a : acc) a = -mach.rho;
+    for (std::size_t s = 0; s < mach.n; ++s) {
+      const double c = mach.coef[s];
+      const double* k =
+          block + static_cast<std::size_t>(mach.idx[s]) * kTileQueries;
+      for (std::size_t q = 0; q < kTileQueries; ++q) acc[q] += c * k[q];
+    }
+    for (std::size_t q = 0; q < kTileQueries; ++q) {
+      f[m * kTileQueries + q] = acc[q];
+    }
+  }
+}
+
 }  // namespace
 
 const Ops* scalar_ops() {
-  static constexpr Ops ops{dot_scalar,          dot_rows_scalar,
-                           squared_norm_scalar, exp_inplace_scalar,
+  static constexpr Ops ops{dot_scalar,
+                           dot_rows_scalar,
+                           squared_norm_scalar,
+                           exp_inplace_scalar,
                            rbf_row_transform_scalar,
-                           poly_row_transform_powi_scalar};
+                           poly_row_transform_powi_scalar,
+                           kernel_row_panels_scalar,
+                           kernel_tile_scalar,
+                           ovo_reduce_tile_scalar};
   return &ops;
 }
 
@@ -177,6 +248,40 @@ void rbf_row_transform(double* dots, const double* sq_norms, std::size_t n,
 void poly_row_transform_powi(double* dots, std::size_t n, double gamma,
                              double coef0, std::uint64_t degree) {
   ops()->poly_row_transform_powi(dots, n, gamma, coef0, degree);
+}
+
+void pack_panels(double* rows, std::size_t n_rows, std::size_t d) {
+  // Each 8-row block transposes through a scratch copy of itself: row r,
+  // feature f of the block moves to f·8 + r.
+  std::vector<double> block(kPanelRows * d);
+  for (std::size_t j0 = 0; j0 < n_rows; j0 += kPanelRows) {
+    double* panel = rows + j0 * d;
+    std::copy(panel, panel + block.size(), block.begin());
+    for (std::size_t r = 0; r < kPanelRows; ++r) {
+      for (std::size_t f = 0; f < d; ++f) {
+        panel[f * kPanelRows + r] = block[r * d + f];
+      }
+    }
+  }
+}
+
+void kernel_row_panels(const double* x, double x_sq, std::size_t d,
+                       const double* panels, const double* sq_norms,
+                       std::size_t n_rows, const RowKernel& kernel,
+                       double* out) {
+  ops()->kernel_row_panels(x, x_sq, d, panels, sq_norms, n_rows, kernel, out);
+}
+
+void kernel_tile(const double* queries_t, const double* x_sq, std::size_t d,
+                 const double* panels, const double* sq_norms,
+                 std::size_t n_rows, const RowKernel& kernel, double* out) {
+  ops()->kernel_tile(queries_t, x_sq, d, panels, sq_norms, n_rows, kernel,
+                     out);
+}
+
+void ovo_reduce_tile(const double* block, const OvoMachine* machines,
+                     std::size_t count, double* f) {
+  ops()->ovo_reduce_tile(block, machines, count, f);
 }
 
 }  // namespace xdmodml::simd

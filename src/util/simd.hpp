@@ -126,4 +126,82 @@ void rbf_row_transform(double* dots, const double* sq_norms, std::size_t n,
 void poly_row_transform_powi(double* dots, std::size_t n, double gamma,
                              double coef0, std::uint64_t degree);
 
+// ---- serving kernels: panel-major pool, query tiles, batched reduce ---
+//
+// The compiled SVM plan (ml/svm_plan.hpp) stores its support-vector pool
+// panel-major: panel p holds pool rows [8p, 8p + 8) feature-major, so
+// element (row 8p + r, feature f) sits at panels[(p·d + f)·8 + r], and
+// the last panel is zero-padded (as is the row-norm array) to whole
+// panels.  Every element k(x_q, row_j) is computed the same way by both
+// entry points below — the dot accumulates feature by feature from 0
+// (one fused multiply-add per feature on AVX2; a multiply then an add
+// on the scalar table), then the kernel transform maps it — so a query
+// gets the same bits alone or in any tile position.
+
+/// Pool rows per panel.
+inline constexpr std::size_t kPanelRows = 8;
+
+/// `rows` rounded up to whole panels.
+inline constexpr std::size_t panel_rows(std::size_t rows) {
+  return (rows + kPanelRows - 1) / kPanelRows * kPanelRows;
+}
+
+/// Rearranges n_rows row-major rows of d features into the panel-major
+/// layout, in place: `rows` holds panel_rows(n_rows) rows, zero after
+/// the last real one, and panel p takes exactly the bytes of rows
+/// [8p, 8p + 8).  Not dispatched (pure data movement).
+void pack_panels(double* rows, std::size_t n_rows, std::size_t d);
+
+/// Queries per tile and per batched reduce.  Tile blocks are
+/// query-lane-major: element (row j, query q) at block[j·kTileQueries + q].
+inline constexpr std::size_t kTileQueries = 8;
+
+/// The transform fused onto a tile's dot products.  kDot leaves raw
+/// inner products (linear kernels; non-integral polynomial degrees,
+/// which the caller finishes with std::pow).
+struct RowKernel {
+  enum class Kind { kDot, kRbf, kPolyPowi };
+  Kind kind = Kind::kDot;
+  double gamma = 0.0;
+  double coef0 = 0.0;
+  std::uint64_t degree = 0;  ///< kPolyPowi only
+};
+
+/// One query against a panel-major pool of n_rows rows:
+///   out[j] = k(x, row j)  for j in [0, n_rows)
+/// with k per `kernel`: kRbf maps exp(−γ·clamped_sq_dist(x_sq,
+/// sq_norms[j], dot)), kPolyPowi powi(γ·dot + coef0, degree).  `x_sq`
+/// (‖x‖²) is read by kRbf only.
+void kernel_row_panels(const double* x, double x_sq, std::size_t d,
+                       const double* panels, const double* sq_norms,
+                       std::size_t n_rows, const RowKernel& kernel,
+                       double* out);
+
+/// kTileQueries queries against the same pool, bit-identical per element
+/// to kernel_row_panels.  `queries_t` holds the block feature-major
+/// (queries_t[f·kTileQueries + q]) and `x_sq` their squared norms; pad
+/// unused lanes with zero queries.  Writes every padded pool row:
+/// out[j·kTileQueries + q] for j < n_rows rounded up to kPanelRows.
+void kernel_tile(const double* queries_t, const double* x_sq, std::size_t d,
+                 const double* panels, const double* sq_norms,
+                 std::size_t n_rows, const RowKernel& kernel, double* out);
+
+/// One one-vs-one machine: `n` support vectors at pool rows `idx` with
+/// coefficients `coef`, and its offset `rho`.
+struct OvoMachine {
+  const std::uint32_t* idx = nullptr;
+  const double* coef = nullptr;
+  std::size_t n = 0;
+  double rho = 0.0;
+};
+
+/// Every machine over a kernel_tile block, for every lane q:
+///   f[m·kTileQueries + q] = −rho_m + Σ_s coef_m[s] · block[idx_m[s]·kTileQueries + q]
+/// summed in s order with each product rounded before its add — the
+/// order of a scalar `f += coef[s] * krow[idx[s]]` loop, so each lane
+/// equals that single-query reduction bit for bit.  Machines' chains are
+/// independent, so an ISA may advance several at once.
+void ovo_reduce_tile(const double* block, const OvoMachine* machines,
+                     std::size_t count, double* f);
+
 }  // namespace xdmodml::simd

@@ -1,9 +1,10 @@
 // Differential tests for the compiled SVM inference plan (ml/svm_plan):
 // the compiled path (deduplicated support-vector pool + SIMD kernel
 // rows + sparse per-machine reduction) must agree with the legacy
-// per-machine scalar kernel walk across kernels, pool precisions,
-// ISAs, batch shapes, serialization round trips and concurrent first
-// use.  Registered under the `tier1-infer` ctest label, plus an
+// per-machine scalar kernel walk across kernels, ISAs, batch shapes,
+// serialization round trips and concurrent first use, and the batched
+// path (query tiles + batched reduce) must equal the single-query path
+// bit for bit.  Registered under the `tier1-infer` ctest label, plus an
 // XDMODML_SIMD=scalar environment rerun.
 #include "ml/svm_plan.hpp"
 
@@ -11,10 +12,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "ml/model_io.hpp"
 #include "ml/svm.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -191,39 +196,6 @@ TEST(SvmInferDifferential, ScalarIsaMatchesVectorIsa) {
   }
 }
 
-// Float32 pool: labels identical, decision values within a tolerance
-// scaled by the machine's coefficient mass (coordinate quantization is
-// ~1e-7 relative; the kernel error it induces is amplified by Σ|coef|).
-TEST(SvmInferDifferential, Float32PoolCloseToFloat64) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
-  const auto& f64 = clf.inference_plan();
-  ASSERT_EQ(f64.precision(), GramPrecision::kFloat64);
-  std::vector<double> krow64(f64.unique_support_vectors());
-
-  auto clf32 = clf;  // copies re-derive their plan
-  clf32.set_plan_precision(GramPrecision::kFloat32);
-  const auto& f32 = clf32.inference_plan();
-  ASSERT_EQ(f32.precision(), GramPrecision::kFloat32);
-  EXPECT_EQ(f32.unique_support_vectors(), f64.unique_support_vectors());
-  EXPECT_EQ(f32.pool_bytes() * 2, f64.pool_bytes());
-  std::vector<double> krow32(f32.unique_support_vectors());
-
-  const Matrix probes = probe_rows(10);
-  for (std::size_t p = 0; p < probes.rows(); ++p) {
-    const auto x = probes.row(p);
-    f64.kernel_row(x, krow64);
-    f32.kernel_row(x, krow32);
-    for (std::size_t m = 0; m < clf.num_machines(); ++m) {
-      double mag = 0.0;
-      for (const double c : f64.machine(m).coef) mag += std::abs(c);
-      EXPECT_NEAR(f32.decision_value(m, krow32),
-                  f64.decision_value(m, krow64), 1e-4 * (1.0 + mag));
-    }
-    EXPECT_EQ(clf32.predict(x), clf.predict(x));
-  }
-}
-
 // The batched sweep evaluates each query independently of its block, so
 // batch results are bit-identical to the single-row compiled calls.
 TEST(SvmInferBatch, BatchMatchesSingleExactly) {
@@ -252,6 +224,180 @@ TEST(SvmInferBatch, BatchMatchesSingleExactly) {
       EXPECT_DOUBLE_EQ(batch_pred[p].probability, pred.probability);
     }
   }
+}
+
+// Every row of every batch shape — empty, a lone row, partial and full
+// tiles, many tiles — gets exactly the single-row label, probability
+// and probability vector, across kernels, with and without Platt.
+TEST(SvmInferBatch, BatchEqualsSingleForEveryShape) {
+  ModeGuard mode(SvmPredictMode::kCompiled);
+  const std::vector<Kernel> kernels = {
+      Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.5, 1.0)};
+  const Matrix all = probe_rows(513, 91);
+  for (const auto& kernel : kernels) {
+    for (const bool probability : {true, false}) {
+      const auto clf = train_blobs(infer_config(kernel, probability));
+      for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 11u, 13u, 64u,
+                                  513u}) {
+        SCOPED_TRACE(kernel.name() + " probability=" +
+                     std::to_string(probability) + " n=" + std::to_string(n));
+        Matrix X(n, all.cols());
+        for (std::size_t r = 0; r < n; ++r) {
+          std::copy(all.row(r).begin(), all.row(r).end(), X.row(r).begin());
+        }
+        const auto preds = clf.predict_batch_with_probability(X);
+        const auto proba = clf.predict_proba_batch(X);
+        const auto labels = clf.predict_batch(X);
+        ASSERT_EQ(preds.size(), n);
+        ASSERT_EQ(proba.size(), n);
+        ASSERT_EQ(labels.size(), n);
+        std::size_t mismatches = 0;
+        for (std::size_t r = 0; r < n; ++r) {
+          const auto single = clf.predict_with_probability(X.row(r));
+          mismatches += preds[r].label != single.label ||
+                        preds[r].probability != single.probability ||
+                        proba[r] != clf.predict_proba(X.row(r)) ||
+                        labels[r] != clf.predict(X.row(r));
+        }
+        EXPECT_EQ(mismatches, 0u);
+      }
+    }
+  }
+}
+
+// A row's result does not depend on which batch it rides in or where.
+TEST(SvmInferBatch, RowResultIndependentOfBatchAndPosition) {
+  ModeGuard mode(SvmPredictMode::kCompiled);
+  const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
+  const Matrix probe = probe_rows(1, 5);
+  const Matrix others = probe_rows(40, 9);
+  const auto reference = clf.predict_proba(probe.row(0));
+  const std::pair<std::size_t, std::size_t> placements[] = {
+      {1, 0}, {2, 1}, {8, 0}, {8, 7}, {9, 8}, {16, 3}, {16, 12}, {40, 21}};
+  for (const auto& [n, pos] : placements) {
+    Matrix X(n, others.cols());
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto src = r == pos ? probe.row(0) : others.row(r);
+      std::copy(src.begin(), src.end(), X.row(r).begin());
+    }
+    EXPECT_EQ(clf.predict_proba_batch(X)[pos], reference)
+        << "batch of " << n << " at row " << pos;
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// A crafted three-class model whose machines each use all `pool_rows`
+/// distinct random rows of `dims` features (shuffled per machine, own
+/// coefficients), loaded from a v1 stream so the plan content-dedups
+/// them to exactly `pool_rows` pool rows.
+SvmClassifier crafted_model(const Kernel& kernel, std::size_t pool_rows,
+                            std::size_t dims, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> pool(pool_rows, std::vector<double>(dims));
+  for (auto& row : pool) {
+    for (auto& v : row) v = rng.normal(0.0, 1.0);
+  }
+  std::ostringstream out;
+  io::write_tag(out, "svm-ovo-v1");
+  io::write_scalar(out, "classes", std::int64_t{3});
+  io::write_scalar(out, "probability", std::int64_t{1});
+  io::write_scalar(out, "machines", std::int64_t{3});
+  for (int m = 0; m < 3; ++m) {
+    io::write_tag(out, "binary-svm-v1");
+    io::write_scalar(out, "kernel_type", static_cast<std::int64_t>(kernel.type));
+    io::write_scalar(out, "gamma", kernel.gamma);
+    io::write_scalar(out, "degree", kernel.degree);
+    io::write_scalar(out, "coef0", kernel.coef0);
+    io::write_scalar(out, "rho", rng.normal(0.0, 0.5));
+    io::write_scalar(out, "has_platt", std::int64_t{1});
+    io::write_scalar(out, "platt_a", -1.0 - rng.uniform());
+    io::write_scalar(out, "platt_b", rng.normal(0.0, 0.2));
+    io::write_scalar(out, "svs", static_cast<std::int64_t>(pool_rows));
+    io::write_scalar(out, "dims", static_cast<std::int64_t>(dims));
+    std::vector<double> coef(pool_rows);
+    for (auto& c : coef) c = rng.normal(0.0, 1.0);
+    io::write_vector(out, "coef", coef);
+    std::vector<std::size_t> order(pool_rows);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    rng.shuffle(order);
+    for (const auto r : order) io::write_vector(out, "sv", pool[r]);
+  }
+  std::istringstream in(out.str());
+  return SvmClassifier::load(in);
+}
+
+// The tile and the batched reduce reproduce the single-query kernel row
+// and decision values bit for bit in every lane, for every tile fill,
+// for pools that end mid-panel (the panels hold 8 rows) and for 1, 5 and
+// 48 features (the served schema's width); and those values match the
+// legacy per-machine walk.
+TEST(SvmInferTile, TileAndReduceEqualKernelRowAndDecisionValue) {
+  ModeGuard mode(SvmPredictMode::kCompiled);
+  const std::vector<Kernel> kernels = {
+      Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.2, 1.0),
+      Kernel::polynomial(2.5, 0.05, 4.0)};
+  std::uint64_t seed = 100;
+  for (const auto& kernel : kernels) {
+    for (const std::size_t dims : {1u, 5u, 48u}) {
+      for (const std::size_t pool : {1u, 7u, 8u, 9u, 17u, 36u}) {
+        SCOPED_TRACE(kernel.name() + " dims=" + std::to_string(dims) +
+                     " pool=" + std::to_string(pool));
+        const auto clf = crafted_model(kernel, pool, dims, ++seed);
+        const auto& plan = clf.inference_plan();
+        ASSERT_EQ(plan.unique_support_vectors(), pool);
+        Rng rng(seed);
+        Matrix queries(simd::kTileQueries, dims);
+        for (auto& v : queries.data()) v = rng.normal(0.0, 1.0);
+        auto tile = plan.make_tile();
+        std::vector<double> krow(pool);
+        std::vector<double> lanes(plan.num_machines() * simd::kTileQueries);
+        std::size_t mismatches = 0;
+        for (std::size_t b = 1; b <= simd::kTileQueries; ++b) {
+          plan.kernel_tile(queries.row(0).data(), b, tile);
+          plan.decision_values(tile, lanes.data());
+          for (std::size_t q = 0; q < b; ++q) {
+            const auto x = queries.row(q);
+            plan.kernel_row(x, krow);
+            for (std::size_t j = 0; j < pool; ++j) {
+              mismatches +=
+                  !same_bits(tile.krows[j * simd::kTileQueries + q], krow[j]);
+            }
+            for (std::size_t m = 0; m < plan.num_machines(); ++m) {
+              const double f = plan.decision_value(m, krow);
+              mismatches +=
+                  !same_bits(lanes[m * simd::kTileQueries + q], f);
+              double mag = 1.0;
+              const auto& slice = plan.machine(m);
+              for (std::size_t s = 0; s < slice.coef.size(); ++s) {
+                mag += std::abs(slice.coef[s] * krow[slice.sv_pool_idx[s]]);
+              }
+              EXPECT_NEAR(f, clf.machine(m).decision_value(x), 1e-12 * mag);
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0u);
+      }
+    }
+  }
+}
+
+TEST(SvmInferTile, RejectsBadTileShapes) {
+  const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), false));
+  const auto& plan = clf.inference_plan();
+  auto tile = plan.make_tile();
+  const Matrix probes = probe_rows(simd::kTileQueries + 1);
+  EXPECT_THROW(plan.kernel_tile(probes.row(0).data(), 0, tile),
+               InvalidArgument);
+  EXPECT_THROW(plan.kernel_tile(probes.row(0).data(), simd::kTileQueries + 1,
+                                tile),
+               InvalidArgument);
+  const auto other = crafted_model(Kernel::rbf(0.3), 3, 4, 7);
+  auto foreign = other.inference_plan().make_tile();
+  EXPECT_THROW(plan.kernel_tile(probes.row(0).data(), 1, foreign),
+               InvalidArgument);
 }
 
 TEST(SvmInferPlan, DedupStatsAndProvenanceKeying) {
