@@ -1,27 +1,30 @@
 // Compiled SVM inference plan: single-query and batched prediction
-// throughput, compiled vs legacy, SIMD vs scalar.
+// throughput against the per-machine reference walk, SIMD vs scalar.
 //
 // The paper's deployment story pushes every unidentified job through a
-// 20-class one-vs-one SVM (190 machines, rbf γ=0.1, C=1000).  The
-// legacy path evaluates K(x, sv) machine by machine, re-touching every
-// duplicated support vector; the compiled plan (DESIGN.md §12) fuses
-// all machines into one deduplicated SV pool, computes a single kernel
-// row per query through the SIMD microkernels, and reduces each
-// machine as a sparse coef-dot.  This bench trains the Table-2 model,
-// verifies the two paths agree (labels identical, f64 decision values
-// within 1e-10), reports the pool's dedup ratio, and times five arms:
+// 20-class one-vs-one SVM (190 machines, rbf γ=0.1, C=1000).  A model
+// stores each support vector once in a pool all machines index into
+// (DESIGN.md §12); the plan computes a single kernel row per query over
+// that pool through the SIMD microkernels and reduces each machine as a
+// sparse coef-dot.  This bench trains the Table-2 model, verifies the
+// plan against the per-machine reference walk (labels identical, f64
+// decision values within 1e-10), reports the pool's dedup ratio, and
+// times four arms:
 //
-//   legacy_single / legacy_batch      — old path (native ISA)
-//   legacy_single_scalar              — old path, XDMODML_SIMD=scalar
-//   compiled_single / compiled_batch  — plan path (native ISA)
-//   compiled_batch_scalar             — plan path, scalar microkernels
+//   reference_single                  — BinarySvm::decision_value per
+//                                       machine, Platt, then pairwise
+//                                       coupling (native ISA)
+//   compiled_single / compiled_batch  — the plan (native ISA)
+//   compiled_batch_scalar             — the plan, scalar microkernels
 //
-// Acceptance gate (ISSUE 10): compiled+SIMD batched predict_proba must
-// run ≥ 3× the legacy-scalar throughput, and the pool must dedup > 2×.
+// Gates: the correctness checks and a pool dedup > 2x exit 1 when they
+// fail; batched predict_proba should run >= 3x the reference.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,6 +75,34 @@ InferModel build_model(std::uint64_t seed, std::size_t per_class,
   return {std::move(svm), std::move(probes), train.class_names.size()};
 }
 
+/// The per-machine reference walk for one query: each machine's
+/// BinarySvm::decision_value through its Platt sigmoid, then pairwise
+/// coupling — what the plan replaces.
+std::vector<double> reference_proba(const ml::SvmClassifier& svm,
+                                    std::span<const double> x) {
+  const auto k = static_cast<std::size_t>(svm.num_classes());
+  Matrix pairwise(k, k, 0.0);
+  std::size_t idx = 0;  // machines are stored in lexicographic (a, b) order
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b, ++idx) {
+      const double r = std::clamp(
+          svm.machine(idx).probability_positive(x), 1e-7, 1.0 - 1e-7);
+      pairwise(a, b) = r;
+      pairwise(b, a) = 1.0 - r;
+    }
+  }
+  return ml::couple_pairwise_probabilities(pairwise);
+}
+
+/// Sums the reference walk's probabilities over every probe row.
+double sweep_reference(const ml::SvmClassifier& svm, const Matrix& probes) {
+  double sink = 0.0;
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    sink += reference_proba(svm, probes.row(r))[0];
+  }
+  return sink;
+}
+
 /// Sums predict_proba over every probe row (single-query path).
 double sweep_single(const ml::SvmClassifier& svm, const Matrix& probes) {
   double sink = 0.0;
@@ -89,18 +120,21 @@ double sweep_batch(const ml::SvmClassifier& svm, const Matrix& probes) {
 }
 
 bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kLegacy);
-  const auto legacy_labels = svm.predict_batch(probes);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
-  const auto compiled_labels = svm.predict_batch(probes);
-  if (legacy_labels != compiled_labels) {
-    std::printf("ERROR: legacy and compiled labels disagree\n");
-    return false;
+  const auto labels = svm.predict_batch(probes);
+  for (std::size_t r = 0; r < probes.rows(); ++r) {
+    const auto proba = reference_proba(svm, probes.row(r));
+    const auto label = static_cast<int>(
+        std::max_element(proba.begin(), proba.end()) - proba.begin());
+    if (label != labels[r]) {
+      std::printf("ERROR: plan and reference labels disagree on probe %zu\n",
+                  r);
+      return false;
+    }
   }
 
-  // Per-machine decision values on a probe sample: the compiled sparse
-  // coef-dot over the shared kernel row must match the legacy
-  // machine-by-machine evaluation to 1e-10 (f64 pool).
+  // Per-machine decision values on a probe sample: the plan's sparse
+  // coef-dot over the shared kernel row must match the machine-by-machine
+  // reference walk to 1e-10 (f64 pool).
   const auto& plan = svm.inference_plan();
   std::vector<double> krow(plan.unique_support_vectors());
   double max_diff = 0.0;
@@ -115,7 +149,7 @@ bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
       if (diff > max_diff) max_diff = diff;
     }
   }
-  std::printf("max |compiled - legacy| decision value: %.3g over %zu "
+  std::printf("max |plan - reference| decision value: %.3g over %zu "
               "probes x %zu machines\n",
               max_diff, sample, plan.num_machines());
   if (max_diff > 1e-10) {
@@ -125,7 +159,8 @@ bool verify_paths(const ml::SvmClassifier& svm, const Matrix& probes) {
   return true;
 }
 
-void run_experiment() {
+/// False when a correctness gate fails.
+bool run_experiment() {
   const auto model = build_model(601, scaled(30), scaled(500));
   const auto& svm = model.svm;
   const auto& probes = model.probes;
@@ -140,83 +175,75 @@ void run_experiment() {
               std::string(simd::isa_name(best_isa)).c_str());
 
   const auto& plan = svm.inference_plan();
-  std::printf("plan: %zu/%zu unique SVs, dedup %.2fx, %zu KiB f64 pool, "
-              "provenance=%s\n\n",
+  std::printf("plan: %zu/%zu unique SVs, dedup %.2fx, %zu KiB f64 pool\n\n",
               plan.unique_support_vectors(), plan.total_support_vectors(),
-              plan.dedup_ratio(), plan.pool_bytes() / 1024,
-              plan.provenance_keyed() ? "rows" : "content-hash");
+              plan.dedup_ratio(), plan.pool_bytes() / 1024);
   if (plan.dedup_ratio() <= 2.0) {
     std::printf("ERROR: dedup ratio %.2fx below the 2x acceptance gate\n",
                 plan.dedup_ratio());
-    return;
+    return false;
   }
-  if (!verify_paths(svm, probes)) return;
+  if (!verify_paths(svm, probes)) return false;
 
+  enum class Path { kReference, kSingle, kBatch };
   struct Arm {
     const char* op;
-    ml::SvmPredictMode mode;
+    Path path;
     simd::Isa isa;
-    bool batch;
   };
   const Arm arms[] = {
-      {"legacy_single", ml::SvmPredictMode::kLegacy, best_isa, false},
-      {"legacy_single_scalar", ml::SvmPredictMode::kLegacy,
-       simd::Isa::kScalar, false},
-      {"legacy_batch", ml::SvmPredictMode::kLegacy, best_isa, true},
-      {"compiled_single", ml::SvmPredictMode::kCompiled, best_isa, false},
-      {"compiled_batch", ml::SvmPredictMode::kCompiled, best_isa, true},
-      {"compiled_batch_scalar", ml::SvmPredictMode::kCompiled,
-       simd::Isa::kScalar, true},
+      {"reference_single", Path::kReference, best_isa},
+      {"compiled_single", Path::kSingle, best_isa},
+      {"compiled_batch", Path::kBatch, best_isa},
+      {"compiled_batch_scalar", Path::kBatch, simd::Isa::kScalar},
   };
 
   TextTable table({"arm", "ms (median)", "probes/sec"});
-  double legacy_scalar_ms = 0.0;
+  double reference_ms = 0.0;
   double compiled_batch_ms = 0.0;
   for (const auto& arm : arms) {
-    ml::set_svm_predict_mode(arm.mode);
     simd::set_active(arm.isa);
     const auto t = time_median_ms(
         [&] {
-          benchmark::DoNotOptimize(arm.batch ? sweep_batch(svm, probes)
-                                             : sweep_single(svm, probes));
+          benchmark::DoNotOptimize(
+              arm.path == Path::kReference ? sweep_reference(svm, probes)
+              : arm.path == Path::kSingle  ? sweep_single(svm, probes)
+                                           : sweep_batch(svm, probes));
         },
         /*repeats=*/3);
     simd::set_active(best_isa);
-    if (std::string_view(arm.op) == "legacy_single_scalar") {
-      legacy_scalar_ms = t.median_ms;
+    if (std::string_view(arm.op) == "reference_single") {
+      reference_ms = t.median_ms;
     }
     if (std::string_view(arm.op) == "compiled_batch") {
       compiled_batch_ms = t.median_ms;
     }
     json.record("bench_svm_infer", arm.op, t.median_ms, probes.rows(),
-                arm.batch ? threads : 1, t.repeats);
+                arm.path == Path::kBatch ? threads : 1, t.repeats);
     table.add_row({arm.op, format_double(t.median_ms, 2),
                    format_double(n / t.median_ms * 1000.0, 0)});
   }
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   std::printf("%s", table.render().c_str());
 
-  const double speedup = legacy_scalar_ms / compiled_batch_ms;
-  std::printf("\ncompiled+SIMD batch vs legacy scalar: %.2fx "
+  const double speedup = reference_ms / compiled_batch_ms;
+  std::printf("\ncompiled+SIMD batch vs per-machine reference: %.2fx "
               "(gate: >= 3x)%s\n",
               speedup, speedup >= 3.0 ? "" : "  *** BELOW GATE ***");
+  return true;
 }
 
-void bm_legacy_single(benchmark::State& state) {
+void bm_reference_single(benchmark::State& state) {
   const auto model = build_model(602, scaled(20), 100);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kLegacy);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sweep_single(model.svm, model.probes));
+    benchmark::DoNotOptimize(sweep_reference(model.svm, model.probes));
   }
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(model.probes.rows()));
 }
-BENCHMARK(bm_legacy_single)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_reference_single)->Unit(benchmark::kMillisecond);
 
 void bm_compiled_batch(benchmark::State& state) {
   const auto model = build_model(602, scaled(20), 100);
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sweep_batch(model.svm, model.probes));
   }
@@ -229,7 +256,7 @@ BENCHMARK(bm_compiled_batch)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   xdmodml::bench::BenchJsonRecorder::instance().parse_args(argc, argv);
-  run_experiment();
+  if (!run_experiment()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

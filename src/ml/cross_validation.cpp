@@ -185,7 +185,7 @@ std::vector<GridPoint> svm_grid_search(const Dataset& ds,
       static auto& cell_hits = registry.counter("grid.cache_hits");
       static auto& cell_misses = registry.counter("grid.cache_misses");
       static auto& cell_hist = registry.histogram("grid.cell_ns", "ns");
-      obs::ScopedTimer cell_timer(cell_hist, "grid.cell");
+      obs::ScopedTimer cell_timer(cell_hist);
       RunningStats stats;
       for (std::size_t f = 0; f < options.folds; ++f) {
         const auto& fr = fold_rows[f];

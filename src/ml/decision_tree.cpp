@@ -705,14 +705,16 @@ TreeEngine TreeEngine::load(std::istream& in) {
   XDMODML_CHECK(task == 0 || task == 1, "corrupt tree task");
   TreeEngine engine(task == 0 ? Task::kClassification : Task::kRegression,
                     TreeConfig{});
-  engine.num_classes_ = static_cast<int>(reader.read_int("classes"));
+  engine.num_classes_ = reader.read_count("classes", 0);
   engine.num_features_ =
-      static_cast<std::size_t>(reader.read_int("features"));
+      static_cast<std::size_t>(reader.read_count("features", 1));
   const auto node_count = reader.read_int("nodes");
   XDMODML_CHECK(node_count > 0, "corrupt tree node count");
-  engine.nodes_.resize(static_cast<std::size_t>(node_count));
-  for (std::size_t idx = 0; idx < engine.nodes_.size(); ++idx) {
-    auto& node = engine.nodes_[idx];
+  const auto nodes = static_cast<std::size_t>(node_count);
+  // Grown as records arrive: a corrupt count runs out of tokens instead
+  // of sizing an allocation.
+  for (std::size_t idx = 0; idx < nodes; ++idx) {
+    auto& node = engine.nodes_.emplace_back();
     node.feature = static_cast<int>(reader.read_int("f"));
     node.threshold = reader.read_double("t");
     node.left = static_cast<std::size_t>(reader.read_int("l"));
@@ -727,9 +729,8 @@ TreeEngine TreeEngine::load(std::istream& in) {
       // points strictly forward.  Anything else — a self-loop, a back
       // edge to an ancestor — would make descend() spin forever on a
       // crafted payload.
-      XDMODML_CHECK(node.left > idx && node.left < engine.nodes_.size() &&
-                        node.right > idx &&
-                        node.right < engine.nodes_.size(),
+      XDMODML_CHECK(node.left > idx && node.left < nodes &&
+                        node.right > idx && node.right < nodes,
                     "corrupt tree child index");
     } else if (task == 0) {
       XDMODML_CHECK(node.class_probs.size() ==

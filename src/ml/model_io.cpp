@@ -41,9 +41,9 @@ void write_vector(std::ostream& out, const std::string& tag,
 }
 
 void write_index_vector(std::ostream& out, const std::string& tag,
-                        std::span<const std::size_t> values) {
+                        std::span<const std::uint32_t> values) {
   out << tag << ' ' << values.size();
-  for (const std::size_t v : values) out << ' ' << v;
+  for (const std::uint32_t v : values) out << ' ' << v;
   out << '\n';
 }
 
@@ -77,6 +77,13 @@ std::int64_t TokenReader::read_int(const std::string& tag) {
   return *v;
 }
 
+int TokenReader::read_count(const std::string& tag, int min) {
+  const auto v = read_int(tag);
+  XDMODML_CHECK(v >= min && v <= std::numeric_limits<int>::max(),
+                "model stream: " + tag + " out of range");
+  return static_cast<int>(v);
+}
+
 std::string TokenReader::read_string(const std::string& tag) {
   expect(tag);
   return std::string(next_token());
@@ -97,13 +104,13 @@ namespace {
 constexpr std::int64_t kMaxReserve = 1 << 16;
 }  // namespace
 
-std::vector<std::size_t> TokenReader::read_index_vector(
+std::vector<std::uint32_t> TokenReader::read_index_vector(
     const std::string& tag) {
   const auto n = read_length(tag);
-  std::vector<std::size_t> values;
+  std::vector<std::uint32_t> values;
   values.reserve(static_cast<std::size_t>(std::min(n, kMaxReserve)));
   for (std::int64_t i = 0; i < n; ++i) {
-    const auto v = scan_int<std::size_t>(next_token());
+    const auto v = scan_int<std::uint32_t>(next_token());
     XDMODML_CHECK(v.has_value(),
                   "model stream: bad index element for tag " + tag);
     values.push_back(*v);

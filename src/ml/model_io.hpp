@@ -29,10 +29,10 @@ void write_string(std::ostream& out, const std::string& tag,
                   const std::string& value);
 void write_vector(std::ostream& out, const std::string& tag,
                   std::span<const double> values);
-/// Index vectors (row provenance) serialize as exact integers, not the
-/// max_digits10 doubles of write_vector.
+/// Index vectors (support-vector pool rows) serialize as exact
+/// integers, not the max_digits10 doubles of write_vector.
 void write_index_vector(std::ostream& out, const std::string& tag,
-                        std::span<const std::size_t> values);
+                        std::span<const std::uint32_t> values);
 
 /// Token reader with tag validation.  Reads one whitespace-delimited
 /// token at a time into a reused buffer (never past it, so several
@@ -53,9 +53,12 @@ class TokenReader {
 
   double read_double(const std::string& tag);
   std::int64_t read_int(const std::string& tag);
+  /// An integer that sizes or indexes a model's structures: it must lie
+  /// in [min, INT_MAX], so narrowing it cannot wrap.
+  int read_count(const std::string& tag, int min);
   std::string read_string(const std::string& tag);
   std::vector<double> read_vector(const std::string& tag);
-  std::vector<std::size_t> read_index_vector(const std::string& tag);
+  std::vector<std::uint32_t> read_index_vector(const std::string& tag);
 
  private:
   std::string_view next_token();

@@ -327,12 +327,13 @@ RandomForestClassifier RandomForestClassifier::load(std::istream& in) {
   io::TokenReader reader(in);
   reader.expect("forest-v1");
   RandomForestClassifier forest;
-  forest.num_classes_ = static_cast<int>(reader.read_int("classes"));
+  forest.num_classes_ = reader.read_count("classes", 1);
   forest.num_features_ =
-      static_cast<std::size_t>(reader.read_int("features"));
+      static_cast<std::size_t>(reader.read_count("features", 1));
   const auto tree_count = reader.read_int("trees");
   XDMODML_CHECK(tree_count > 0, "corrupt forest tree count");
-  forest.trees_.reserve(static_cast<std::size_t>(tree_count));
+  // No reserve: a corrupt count runs out of tokens instead of sizing an
+  // allocation.
   for (std::int64_t i = 0; i < tree_count; ++i) {
     forest.trees_.push_back(detail::TreeEngine::load(in));
   }
@@ -448,10 +449,9 @@ RandomForestRegressor RandomForestRegressor::load(std::istream& in) {
   reader.expect("forest-reg-v1");
   RandomForestRegressor forest;
   forest.num_features_ =
-      static_cast<std::size_t>(reader.read_int("features"));
+      static_cast<std::size_t>(reader.read_count("features", 1));
   const auto tree_count = reader.read_int("trees");
   XDMODML_CHECK(tree_count > 0, "corrupt forest tree count");
-  forest.trees_.reserve(static_cast<std::size_t>(tree_count));
   for (std::int64_t i = 0; i < tree_count; ++i) {
     forest.trees_.push_back(detail::TreeEngine::load(in));
   }

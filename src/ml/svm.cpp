@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <optional>
+#include <unordered_map>
 
 #include "ml/model_io.hpp"
 #include "ml/svm_plan.hpp"
@@ -229,23 +230,28 @@ void BinarySvm::fit_decision(const Matrix& X, std::span<const signed char> y,
   rho_ = result.rho;
   kernel_ = config.kernel;
 
-  // Keep only the support vectors.
-  std::vector<std::size_t> sv_rows;
+  c_positive_ = config.c * c_positive;
+  c_negative_ = config.c * c_negative;
+
+  // Keep only the support vectors, in a pool of this machine's own.
+  fit_rows_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (result.alpha[i] > 0.0) sv_rows.push_back(i);
+    if (result.alpha[i] > 0.0) fit_rows_.push_back(i);
   }
-  support_vectors_ = X.gather_rows(sv_rows);
-  coef_.resize(sv_rows.size());
-  for (std::size_t s = 0; s < sv_rows.size(); ++s) {
-    coef_[s] = result.alpha[sv_rows[s]] *
-               static_cast<double>(y[sv_rows[s]]);
+  pool_ = std::make_shared<const SupportVectorPool>(
+      X.gather_rows(fit_rows_).data(), X.cols());
+  pool_idx_.resize(fit_rows_.size());
+  std::iota(pool_idx_.begin(), pool_idx_.end(), 0u);
+  coef_.resize(fit_rows_.size());
+  for (std::size_t s = 0; s < fit_rows_.size(); ++s) {
+    coef_[s] = result.alpha[fit_rows_[s]] *
+               static_cast<double>(y[fit_rows_[s]]);
   }
   sv_full_rows_.clear();
   if (shared_cache != nullptr && shared_rows.size() == n) {
-    sv_full_rows_.reserve(sv_rows.size());
-    for (const auto r : sv_rows) sv_full_rows_.push_back(shared_rows[r]);
+    sv_full_rows_.reserve(fit_rows_.size());
+    for (const auto r : fit_rows_) sv_full_rows_.push_back(shared_rows[r]);
   }
-  trained_ = true;
 }
 
 void BinarySvm::fit(const Matrix& X, std::span<const signed char> y,
@@ -351,17 +357,19 @@ void BinarySvm::fit(const Matrix& X, std::span<const signed char> y,
 }
 
 double BinarySvm::decision_value(std::span<const double> x) const {
-  XDMODML_CHECK(trained_, "decision_value before fit");
+  XDMODML_CHECK(pool_ != nullptr, "decision_value before fit");
+  std::vector<double> sv(pool_->dims());
   double f = -rho_;
-  for (std::size_t s = 0; s < support_vectors_.rows(); ++s) {
-    f += coef_[s] * kernel_(support_vectors_.row(s), x);
+  for (std::size_t s = 0; s < coef_.size(); ++s) {
+    pool_->row(pool_idx_[s], sv.data());
+    f += coef_[s] * kernel_(sv, x);
   }
   return f;
 }
 
 double BinarySvm::decision_value_cached(SharedGramCache& cache,
                                         std::size_t full_row) const {
-  XDMODML_CHECK(trained_, "decision_value before fit");
+  XDMODML_CHECK(pool_ != nullptr, "decision_value before fit");
   XDMODML_CHECK(sv_full_rows_.size() == coef_.size(),
                 "machine was not fitted through this shared cache");
   const auto row = cache.row(full_row);
@@ -378,32 +386,79 @@ const PlattSigmoid& BinarySvm::sigmoid() const {
   return platt_;
 }
 
-void BinarySvm::save(std::ostream& out) const {
-  XDMODML_CHECK(trained_, "cannot save an untrained SVM");
-  // v2 appends the full-matrix row provenance after the SV rows so a
-  // reloaded model can index-dedup its inference-plan pool; v1 files
-  // (no provenance) still load, falling back to content-hash dedup.
-  io::write_tag(out, "binary-svm-v2");
-  io::write_scalar(out, "kernel_type",
-                   static_cast<std::int64_t>(kernel_.type));
-  io::write_scalar(out, "gamma", kernel_.gamma);
-  io::write_scalar(out, "degree", kernel_.degree);
-  io::write_scalar(out, "coef0", kernel_.coef0);
-  io::write_scalar(out, "rho", rho_);
-  io::write_scalar(out, "has_platt",
-                   static_cast<std::int64_t>(has_platt_ ? 1 : 0));
-  io::write_scalar(out, "platt_a", platt_.a);
-  io::write_scalar(out, "platt_b", platt_.b);
-  io::write_scalar(out, "svs",
-                   static_cast<std::int64_t>(support_vectors_.rows()));
-  io::write_scalar(out, "dims",
-                   static_cast<std::int64_t>(support_vectors_.cols()));
-  io::write_vector(out, "coef", coef_);
-  for (std::size_t r = 0; r < support_vectors_.rows(); ++r) {
-    io::write_vector(out, "sv", support_vectors_.row(r));
-  }
-  io::write_index_vector(out, "full_rows", sv_full_rows_);
+namespace {
+
+// The kernel fields of a model stream, one kernel per SVM.
+Kernel read_kernel(io::TokenReader& reader) {
+  Kernel kernel;
+  const auto type = reader.read_int("kernel_type");
+  XDMODML_CHECK(type >= 0 && type <= 2, "corrupt SVM kernel type");
+  kernel.type = static_cast<Kernel::Type>(type);
+  kernel.gamma = reader.read_double("gamma");
+  // exp(-gamma * d^2) with gamma <= 0 is no RBF kernel: a negative gamma
+  // grows without bound and saturates every probability.
+  XDMODML_CHECK(kernel.type != Kernel::Type::kRbf || kernel.gamma > 0.0,
+                "corrupt SVM RBF gamma");
+  kernel.degree = reader.read_double("degree");
+  kernel.coef0 = reader.read_double("coef0");
+  return kernel;
 }
+
+void write_kernel(std::ostream& out, const Kernel& kernel) {
+  io::write_scalar(out, "kernel_type",
+                   static_cast<std::int64_t>(kernel.type));
+  io::write_scalar(out, "gamma", kernel.gamma);
+  io::write_scalar(out, "degree", kernel.degree);
+  io::write_scalar(out, "coef0", kernel.coef0);
+}
+
+// FNV-1a over a row's raw bytes — the content-dedup bucket key.  Exact
+// equality is re-verified with memcmp, so collisions only cost a probe.
+std::uint64_t hash_row_bytes(const double* row, std::size_t d) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(row);
+  for (std::size_t i = 0; i < d * sizeof(double); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// An svm-ovo-v1 stream stores every machine's support vectors in full,
+// so its model pool is found by content: each distinct row once, in
+// order of first use, into `rows`; machine m's support vector s becomes
+// pool row pool_idx[m][s].
+void gather_by_content(std::span<const BinarySvm> machines,
+                       std::vector<double>& rows,
+                       std::vector<std::vector<std::uint32_t>>& pool_idx) {
+  const std::size_t d = machines[0].pool()->dims();
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_content;
+  std::vector<double> sv(d);
+  auto pool_row = [&]() -> std::uint32_t {
+    auto& bucket = by_content[hash_row_bytes(sv.data(), d)];
+    for (const auto idx : bucket) {
+      if (std::memcmp(rows.data() + idx * d, sv.data(),
+                      d * sizeof(double)) == 0) {
+        return idx;
+      }
+    }
+    const auto next = static_cast<std::uint32_t>(rows.size() / d);
+    bucket.push_back(next);
+    rows.insert(rows.end(), sv.begin(), sv.end());
+    return next;
+  };
+  for (const auto& m : machines) {
+    XDMODML_CHECK(m.pool()->dims() == d,
+                  "inference plan requires one feature width");
+    auto& idx = pool_idx.emplace_back();
+    for (const auto j : m.pool_indices()) {
+      m.pool()->row(j, sv.data());
+      idx.push_back(pool_row());
+    }
+  }
+}
+
+}  // namespace
 
 BinarySvm BinarySvm::load(std::istream& in) {
   io::TokenReader reader(in);
@@ -411,18 +466,7 @@ BinarySvm BinarySvm::load(std::istream& in) {
   XDMODML_CHECK(tag == "binary-svm-v1" || tag == "binary-svm-v2",
                 "model stream: unknown binary SVM version '" + tag + "'");
   BinarySvm svm;
-  const auto kernel_type = reader.read_int("kernel_type");
-  XDMODML_CHECK(kernel_type >= 0 && kernel_type <= 2,
-                "corrupt SVM kernel type");
-  svm.kernel_.type = static_cast<Kernel::Type>(kernel_type);
-  svm.kernel_.gamma = reader.read_double("gamma");
-  // exp(-gamma * d^2) with gamma <= 0 is no RBF kernel: a negative gamma
-  // grows without bound and saturates every probability.
-  XDMODML_CHECK(svm.kernel_.type != Kernel::Type::kRbf ||
-                    svm.kernel_.gamma > 0.0,
-                "corrupt SVM RBF gamma");
-  svm.kernel_.degree = reader.read_double("degree");
-  svm.kernel_.coef0 = reader.read_double("coef0");
+  svm.kernel_ = read_kernel(reader);
   svm.rho_ = reader.read_double("rho");
   svm.has_platt_ = reader.read_int("has_platt") != 0;
   svm.platt_.a = reader.read_double("platt_a");
@@ -433,82 +477,46 @@ BinarySvm BinarySvm::load(std::istream& in) {
   svm.coef_ = reader.read_vector("coef");
   XDMODML_CHECK(svm.coef_.size() == static_cast<std::size_t>(svs),
                 "corrupt SVM coefficient count");
+  std::vector<double> rows;
   for (std::int64_t r = 0; r < svs; ++r) {
     const auto row = reader.read_vector("sv");
     XDMODML_CHECK(row.size() == static_cast<std::size_t>(dims),
                   "corrupt SVM support vector width");
-    svm.support_vectors_.append_row(row);
+    rows.insert(rows.end(), row.begin(), row.end());
   }
-  if (tag == "binary-svm-v2") {
-    svm.sv_full_rows_ = reader.read_index_vector("full_rows");
-    XDMODML_CHECK(svm.sv_full_rows_.empty() ||
-                      svm.sv_full_rows_.size() ==
-                          static_cast<std::size_t>(svs),
-                  "corrupt SVM provenance length");
+  // v2 machines end with their support vectors' training-row ids, which
+  // nothing reads any more.
+  if (tag == "binary-svm-v2") reader.read_index_vector("full_rows");
+  svm.pool_ = std::make_shared<const SupportVectorPool>(
+      rows, static_cast<std::size_t>(dims));
+  svm.pool_idx_.resize(svm.coef_.size());
+  std::iota(svm.pool_idx_.begin(), svm.pool_idx_.end(), 0u);
+  // The stream carries no C: the box is the one these coefficients fill.
+  for (const double c : svm.coef_) {
+    double& bound = c > 0.0 ? svm.c_positive_ : svm.c_negative_;
+    bound = std::max(bound, std::abs(c));
   }
-  svm.trained_ = true;
   return svm;
 }
 
-/// The lazily built compiled plan.  `once` serializes construction on
-/// concurrent first use; `plan` is additionally published under `m` so
-/// plan_if_built() can peek without entering the call_once.  Lives
-/// behind a unique_ptr because once_flag is immovable and the
-/// classifier must stay movable (load() returns by value).
-struct SvmClassifier::PlanSlot {
-  std::once_flag once;
-  mutable std::mutex m;
-  std::shared_ptr<const SvmInferencePlan> plan;
-};
-
 SvmClassifier::SvmClassifier(SvmConfig config, std::uint64_t seed)
-    : config_(config),
-      seed_(seed),
-      plan_slot_(std::make_unique<PlanSlot>()) {}
-
-SvmClassifier::~SvmClassifier() = default;
-SvmClassifier::SvmClassifier(SvmClassifier&&) noexcept = default;
-SvmClassifier& SvmClassifier::operator=(SvmClassifier&&) noexcept = default;
-
-SvmClassifier::SvmClassifier(const SvmClassifier& other)
-    : config_(other.config_),
-      seed_(other.seed_),
-      num_classes_(other.num_classes_),
-      machines_(other.machines_),
-      plan_slot_(std::make_unique<PlanSlot>()) {}
-
-SvmClassifier& SvmClassifier::operator=(const SvmClassifier& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    seed_ = other.seed_;
-    num_classes_ = other.num_classes_;
-    machines_ = other.machines_;
-    plan_slot_ = std::make_unique<PlanSlot>();
-  }
-  return *this;
-}
+    : config_(config), seed_(seed) {}
 
 const SvmInferencePlan& SvmClassifier::inference_plan() const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  PlanSlot& slot = *plan_slot_;
-  std::call_once(slot.once, [&] {
-    auto built = SvmInferencePlan::build(machines_);
-    const std::lock_guard<std::mutex> lock(slot.m);
-    slot.plan = std::move(built);
-  });
-  // call_once completion happens-before every post-once read: no lock.
-  return *slot.plan;
+  XDMODML_CHECK(plan_ != nullptr, "predict before fit");
+  return *plan_;
 }
 
-std::shared_ptr<const SvmInferencePlan> SvmClassifier::plan_if_built()
-    const {
-  if (plan_slot_ == nullptr) return nullptr;
-  const std::lock_guard<std::mutex> lock(plan_slot_->m);
-  return plan_slot_->plan;
-}
-
-bool SvmClassifier::use_compiled() const {
-  return svm_predict_mode() == SvmPredictMode::kCompiled;
+void SvmClassifier::share_pool(
+    std::span<const double> rows, std::size_t dims,
+    std::vector<std::vector<std::uint32_t>> pool_idx) {
+  const auto pool = std::make_shared<const SupportVectorPool>(rows, dims);
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    machines_[m].pool_ = pool;
+    machines_[m].pool_idx_ = std::move(pool_idx[m]);
+    machines_[m].fit_rows_ = {};
+  }
+  plan_ = SvmInferencePlan::build(machines_);
 }
 
 std::size_t SvmClassifier::machine_index(int a, int b) const {
@@ -585,6 +593,7 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
     shared = owned.get();
   }
 
+  plan_.reset();
   machines_.assign(tasks.size(), BinarySvm{});
   auto train_pair = [&](std::size_t idx) {
     const auto& task = tasks[idx];
@@ -621,6 +630,9 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
     machines_[idx].fit(X.gather_rows(rows), labels, config_, task.seed,
                        c_pos, c_neg, shared,
                        cache != nullptr ? full_rows : rows);
+    // The model's pool below replaces the machine's own; only its
+    // fit_rows_ are needed to build it.
+    machines_[idx].pool_.reset();
   };
   if (config_.parallel) {
     ThreadPool::global().parallel_for(0, tasks.size(), train_pair);
@@ -628,11 +640,28 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
     for (std::size_t i = 0; i < tasks.size(); ++i) train_pair(i);
   }
 
-  // Refit invalidates any previously compiled plan.  In compiled mode
-  // build the fresh plan eagerly so serving threads never pay for it;
-  // legacy mode (and grid-search sweeps run under it) skips the cost.
-  plan_slot_ = std::make_unique<PlanSlot>();
-  if (use_compiled()) inference_plan();
+  // Store each support vector once: the pool takes training rows in
+  // order of first use, keyed by row id, so no row is hashed.
+  constexpr auto kUnset = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> pool_row(X.rows(), kUnset);
+  std::vector<double> rows;
+  std::uint32_t unique = 0;
+  std::vector<std::vector<std::uint32_t>> pool_idx(tasks.size());
+  for (std::size_t m = 0; m < tasks.size(); ++m) {
+    const auto& rows_a = rows_by_class[static_cast<std::size_t>(tasks[m].a)];
+    const auto& rows_b = rows_by_class[static_cast<std::size_t>(tasks[m].b)];
+    for (const auto p : machines_[m].fit_rows_) {
+      // The pair's rows are class a's, then class b's (train_pair).
+      const std::size_t r =
+          p < rows_a.size() ? rows_a[p] : rows_b[p - rows_a.size()];
+      if (pool_row[r] == kUnset) {
+        pool_row[r] = unique++;
+        rows.insert(rows.end(), X.row(r).begin(), X.row(r).end());
+      }
+      pool_idx[m].push_back(pool_row[r]);
+    }
+  }
+  share_pool(rows, X.cols(), std::move(pool_idx));
 }
 
 namespace {
@@ -641,8 +670,8 @@ namespace {
 // machine order: kernel_row, then the decision_value chains back to back
 // (consecutive machines' chains overlap; a sigmoid between them would
 // not let them).
-std::vector<double> compiled_decisions(const SvmInferencePlan& plan,
-                                       std::span<const double> x) {
+std::vector<double> plan_decisions(const SvmInferencePlan& plan,
+                                   std::span<const double> x) {
   std::vector<double> krow(plan.unique_support_vectors());
   plan.kernel_row(x, krow);
   std::vector<double> decisions(plan.num_machines());
@@ -652,12 +681,13 @@ std::vector<double> compiled_decisions(const SvmInferencePlan& plan,
   return decisions;
 }
 
-// predict_proba from compiled decision values, machines in lexicographic
-// (a, b) order: coupled probabilities with Platt outputs, vote fractions
-// without — the legacy rules.
-std::vector<double> compiled_proba(const SvmInferencePlan& plan, int classes,
-                                   bool probability,
-                                   std::span<const double> decision) {
+// predict_proba from decision values, machines in lexicographic (a, b)
+// order: coupled probabilities with Platt outputs — each pairwise
+// probability clipped away from {0, 1} as LIBSVM does to keep the
+// coupling well-posed — and vote fractions without.
+std::vector<double> proba_from(const SvmInferencePlan& plan, int classes,
+                               bool probability,
+                               std::span<const double> decision) {
   const auto k = static_cast<std::size_t>(classes);
   std::size_t idx = 0;
   if (probability) {
@@ -686,9 +716,10 @@ std::vector<double> compiled_proba(const SvmInferencePlan& plan, int classes,
   return votes;
 }
 
-// Hard one-vs-one vote label over compiled decision values (lowest
-// class index wins ties).
-int compiled_votes(int classes, std::span<const double> decision) {
+// Hard one-vs-one vote label over decision values.  std::max_element
+// keeps the first maximum: ties go to the lowest class index, matching
+// the vote-fraction argmax of proba_from.
+int vote_label(int classes, std::span<const double> decision) {
   const auto k = static_cast<std::size_t>(classes);
   std::vector<std::size_t> votes(k, 0);
   std::size_t idx = 0;
@@ -705,61 +736,13 @@ int compiled_votes(int classes, std::span<const double> decision) {
 
 std::vector<double> SvmClassifier::predict_proba(
     std::span<const double> x) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  if (use_compiled()) {
-    const auto& plan = inference_plan();
-    return compiled_proba(plan, num_classes_, config_.probability,
-                          compiled_decisions(plan, x));
-  }
-  const auto k = static_cast<std::size_t>(num_classes_);
-  if (config_.probability) {
-    // Pairwise class-conditional probabilities, clipped away from {0, 1}
-    // as LIBSVM does to keep the coupling well-posed.
-    Matrix pairwise(k, k, 0.0);
-    for (int a = 0; a < num_classes_; ++a) {
-      for (int b = a + 1; b < num_classes_; ++b) {
-        const auto& machine = machines_[machine_index(a, b)];
-        double r = machine.probability_positive(x);
-        r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
-        pairwise(static_cast<std::size_t>(a), static_cast<std::size_t>(b)) = r;
-        pairwise(static_cast<std::size_t>(b), static_cast<std::size_t>(a)) =
-            1.0 - r;
-      }
-    }
-    return couple_pairwise_probabilities(pairwise);
-  }
-  // Vote fractions (no Platt fit).
-  std::vector<double> votes(k, 0.0);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
-      const auto& machine = machines_[machine_index(a, b)];
-      const double f = machine.decision_value(x);
-      ++votes[static_cast<std::size_t>(f > 0.0 ? a : b)];
-    }
-  }
-  const double total = static_cast<double>(machines_.size());
-  for (auto& v : votes) v /= total;
-  return votes;
+  const auto& plan = inference_plan();
+  return proba_from(plan, num_classes_, config_.probability,
+                    plan_decisions(plan, x));
 }
 
 int SvmClassifier::predict_by_votes(std::span<const double> x) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  if (use_compiled()) {
-    return compiled_votes(num_classes_,
-                          compiled_decisions(inference_plan(), x));
-  }
-  std::vector<std::size_t> votes(static_cast<std::size_t>(num_classes_), 0);
-  for (int a = 0; a < num_classes_; ++a) {
-    for (int b = a + 1; b < num_classes_; ++b) {
-      const auto& machine = machines_[machine_index(a, b)];
-      ++votes[static_cast<std::size_t>(
-          machine.decision_value(x) > 0.0 ? a : b)];
-    }
-  }
-  // std::max_element keeps the first maximum: ties go to the lowest
-  // class index, matching the vote-fraction argmax in predict_proba.
-  return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
-                          votes.begin());
+  return vote_label(num_classes_, plan_decisions(inference_plan(), x));
 }
 
 std::vector<int> SvmClassifier::predict_shared(
@@ -844,14 +827,14 @@ obs::Histogram& batch_histogram() {
 // fills the lanes' kernel rows and one pass over each machine's
 // coefficients reduces it for every lane.  `emit(row, decisions)` gets
 // each row's decision values in machine order — the same bits
-// compiled_decisions returns for that row alone.
+// plan_decisions returns for that row alone.
 template <typename Emit>
 void sweep_batch(const SvmInferencePlan& plan, const Matrix& X,
                  const Emit& emit) {
   if (X.rows() == 0) return;
   XDMODML_CHECK(X.cols() == plan.dims(), "predict_batch feature width");
   batch_counter().inc();
-  obs::ScopedTimer timer(batch_histogram(), "svm.predict.batch");
+  obs::ScopedTimer timer(batch_histogram());
   const std::size_t machines = plan.num_machines();
   const std::size_t tiles = (X.rows() + kLanes - 1) / kLanes;
   ThreadPool::global().parallel_for_ranges(
@@ -881,15 +864,13 @@ void sweep_batch(const SvmInferencePlan& plan, const Matrix& X,
 }  // namespace
 
 std::vector<int> SvmClassifier::predict_batch(const Matrix& X) const {
-  if (!use_compiled()) return Classifier::predict_batch(X);
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
   const auto& plan = inference_plan();
   std::vector<int> labels(X.rows(), -1);
   sweep_batch(plan, X, [&](std::size_t row, std::span<const double> dec) {
     if (!config_.probability) {
-      labels[row] = compiled_votes(num_classes_, dec);
+      labels[row] = vote_label(num_classes_, dec);
     } else {
-      const auto proba = compiled_proba(plan, num_classes_, true, dec);
+      const auto proba = proba_from(plan, num_classes_, true, dec);
       labels[row] = static_cast<int>(
           std::max_element(proba.begin(), proba.end()) - proba.begin());
     }
@@ -899,25 +880,21 @@ std::vector<int> SvmClassifier::predict_batch(const Matrix& X) const {
 
 std::vector<std::vector<double>> SvmClassifier::predict_proba_batch(
     const Matrix& X) const {
-  if (!use_compiled()) return Classifier::predict_proba_batch(X);
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
   const auto& plan = inference_plan();
   std::vector<std::vector<double>> proba(X.rows());
   sweep_batch(plan, X, [&](std::size_t row, std::span<const double> dec) {
-    proba[row] = compiled_proba(plan, num_classes_, config_.probability, dec);
+    proba[row] = proba_from(plan, num_classes_, config_.probability, dec);
   });
   return proba;
 }
 
 std::vector<Prediction> SvmClassifier::predict_batch_with_probability(
     const Matrix& X) const {
-  if (!use_compiled()) return Classifier::predict_batch_with_probability(X);
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
   const auto& plan = inference_plan();
   std::vector<Prediction> out(X.rows());
   sweep_batch(plan, X, [&](std::size_t row, std::span<const double> dec) {
     const auto proba =
-        compiled_proba(plan, num_classes_, config_.probability, dec);
+        proba_from(plan, num_classes_, config_.probability, dec);
     const auto it = std::max_element(proba.begin(), proba.end());
     out[row] = {static_cast<int>(it - proba.begin()), *it};
   });
@@ -931,37 +908,116 @@ std::size_t SvmClassifier::total_support_vectors() const {
 }
 
 void SvmClassifier::save(std::ostream& out) const {
-  XDMODML_CHECK(!machines_.empty(), "cannot save an untrained classifier");
-  io::write_tag(out, "svm-ovo-v1");
+  XDMODML_CHECK(plan_ != nullptr, "cannot save an untrained classifier");
+  io::write_tag(out, "svm-ovo-v2");
   io::write_scalar(out, "classes",
                    static_cast<std::int64_t>(num_classes_));
   io::write_scalar(out, "probability",
                    static_cast<std::int64_t>(config_.probability ? 1 : 0));
+  write_kernel(out, plan_->kernel());
+  const auto& pool = *machines_[0].pool();
+  io::write_scalar(out, "dims", static_cast<std::int64_t>(pool.dims()));
+  io::write_scalar(out, "pool", static_cast<std::int64_t>(pool.size()));
+  std::vector<double> row(pool.dims());
+  for (std::size_t j = 0; j < pool.size(); ++j) {
+    pool.row(j, row.data());
+    io::write_vector(out, "sv", row);
+  }
   io::write_scalar(out, "machines",
                    static_cast<std::int64_t>(machines_.size()));
-  for (const auto& machine : machines_) machine.save(out);
+  for (const auto& m : machines_) {
+    io::write_index_vector(out, "sv_index", m.pool_idx_);
+    io::write_vector(out, "coef", m.coef_);
+    io::write_scalar(out, "rho", m.rho_);
+    io::write_scalar(out, "platt_a", m.platt_.a);
+    io::write_scalar(out, "platt_b", m.platt_.b);
+    io::write_scalar(out, "c_positive", m.c_positive_);
+    io::write_scalar(out, "c_negative", m.c_negative_);
+  }
 }
 
 SvmClassifier SvmClassifier::load(std::istream& in) {
   io::TokenReader reader(in);
-  reader.expect("svm-ovo-v1");
+  const auto tag = reader.read_tag();
+  XDMODML_CHECK(tag == "svm-ovo-v1" || tag == "svm-ovo-v2",
+                "model stream: unknown SVM classifier version '" + tag + "'");
   SvmClassifier clf;
-  // Range-check before narrowing: a class count below 2 (say -1, whose
-  // k(k-1)/2 is 1) would pass the machine-count check and break the
-  // first prediction.
-  const auto k = reader.read_int("classes");
-  XDMODML_CHECK(k >= 2 && k <= std::numeric_limits<int>::max(),
-                "corrupt SVM class count");
-  clf.num_classes_ = static_cast<int>(k);
+  // A class count below 2 (say -1, whose k(k-1)/2 is 1) would pass the
+  // machine-count check and break the first prediction.
+  clf.num_classes_ = reader.read_count("classes", 2);
   clf.config_.probability = reader.read_int("probability") != 0;
-  const auto machine_count = reader.read_int("machines");
-  XDMODML_CHECK(machine_count == k * (k - 1) / 2,
-                "corrupt one-vs-one machine count");
-  // No reserve: a corrupt stream's count must not size an allocation,
-  // and machines move cheaply as the vector grows.
-  for (std::int64_t i = 0; i < machine_count; ++i) {
-    clf.machines_.push_back(BinarySvm::load(in));
+  const std::int64_t k = clf.num_classes_;
+  const auto machine_count = k * (k - 1) / 2;
+  const auto expect_machine_count = [&] {
+    XDMODML_CHECK(reader.read_int("machines") == machine_count,
+                  "corrupt one-vs-one machine count");
+  };
+  // No reserve below: a corrupt stream's count must not size an
+  // allocation, and machines move cheaply as the vector grows.
+
+  if (tag == "svm-ovo-v1") {
+    expect_machine_count();
+    for (std::int64_t i = 0; i < machine_count; ++i) {
+      clf.machines_.push_back(BinarySvm::load(in));
+      XDMODML_CHECK(clf.machines_.back().has_platt_ ||
+                        !clf.config_.probability,
+                    "corrupt SVM stream: machine " + std::to_string(i) +
+                        " of a probability model has no Platt sigmoid");
+    }
+    std::vector<double> rows;
+    std::vector<std::vector<std::uint32_t>> pool_idx;
+    gather_by_content(clf.machines_, rows, pool_idx);
+    const std::size_t dims = clf.machines_[0].pool()->dims();
+    clf.share_pool(rows, dims, std::move(pool_idx));
+    return clf;
   }
+
+  const Kernel kernel = read_kernel(reader);
+  const auto dims = reader.read_int("dims");
+  const auto pool_rows = reader.read_int("pool");
+  XDMODML_CHECK(dims > 0 && pool_rows > 0 &&
+                    pool_rows <= std::numeric_limits<std::uint32_t>::max(),
+                "corrupt SVM pool shape");
+  std::vector<double> rows;
+  for (std::int64_t j = 0; j < pool_rows; ++j) {
+    const auto row = reader.read_vector("sv");
+    XDMODML_CHECK(row.size() == static_cast<std::size_t>(dims),
+                  "corrupt SVM support vector width");
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  const auto pool = std::make_shared<const SupportVectorPool>(
+      rows, static_cast<std::size_t>(dims));
+  expect_machine_count();
+  for (std::int64_t i = 0; i < machine_count; ++i) {
+    const std::string machine = "machine " + std::to_string(i);
+    BinarySvm m;
+    m.kernel_ = kernel;
+    m.pool_ = pool;
+    m.pool_idx_ = reader.read_index_vector("sv_index");
+    m.coef_ = reader.read_vector("coef");
+    XDMODML_CHECK(!m.coef_.empty() && m.coef_.size() == m.pool_idx_.size(),
+                  "corrupt SVM coefficient count in " + machine);
+    for (const auto j : m.pool_idx_) {
+      XDMODML_CHECK(j < pool->size(), "corrupt SVM pool index in " + machine);
+    }
+    m.rho_ = reader.read_double("rho");
+    m.platt_.a = reader.read_double("platt_a");
+    m.platt_.b = reader.read_double("platt_b");
+    m.has_platt_ = clf.config_.probability;
+    m.c_positive_ = reader.read_double("c_positive");
+    m.c_negative_ = reader.read_double("c_negative");
+    XDMODML_CHECK(m.c_positive_ >= 0.0 && m.c_negative_ >= 0.0,
+                  "corrupt SVM box bound in " + machine);
+    // SMO clips every alpha into its box exactly, so a coefficient
+    // outside it is corruption — one that would still serve finite,
+    // wrong probabilities.
+    for (const double c : m.coef_) {
+      XDMODML_CHECK(c <= m.c_positive_ && -c <= m.c_negative_,
+                    "corrupt SVM coefficient outside the box of " + machine);
+    }
+    clf.machines_.push_back(std::move(m));
+  }
+  clf.plan_ = SvmInferencePlan::build(clf.machines_);
   return clf;
 }
 
@@ -1036,11 +1092,7 @@ void SvmRegressor::fit(const Matrix& X, std::span<const double> y) {
 void SvmRegressor::save(std::ostream& out) const {
   XDMODML_CHECK(trained_, "cannot save an untrained regressor");
   io::write_tag(out, "svr-v1");
-  io::write_scalar(out, "kernel_type",
-                   static_cast<std::int64_t>(kernel_.type));
-  io::write_scalar(out, "gamma", kernel_.gamma);
-  io::write_scalar(out, "degree", kernel_.degree);
-  io::write_scalar(out, "coef0", kernel_.coef0);
+  write_kernel(out, kernel_);
   io::write_scalar(out, "rho", rho_);
   io::write_scalar(out, "svs",
                    static_cast<std::int64_t>(support_vectors_.rows()));
@@ -1056,16 +1108,7 @@ SvmRegressor SvmRegressor::load(std::istream& in) {
   io::TokenReader reader(in);
   reader.expect("svr-v1");
   SvmRegressor svr;
-  const auto kernel_type = reader.read_int("kernel_type");
-  XDMODML_CHECK(kernel_type >= 0 && kernel_type <= 2,
-                "corrupt SVR kernel type");
-  svr.kernel_.type = static_cast<Kernel::Type>(kernel_type);
-  svr.kernel_.gamma = reader.read_double("gamma");
-  XDMODML_CHECK(svr.kernel_.type != Kernel::Type::kRbf ||
-                    svr.kernel_.gamma > 0.0,
-                "corrupt SVR RBF gamma");
-  svr.kernel_.degree = reader.read_double("degree");
-  svr.kernel_.coef0 = reader.read_double("coef0");
+  svr.kernel_ = read_kernel(reader);
   svr.rho_ = reader.read_double("rho");
   const auto svs = reader.read_int("svs");
   const auto dims = reader.read_int("dims");

@@ -70,7 +70,11 @@ PlattSigmoid fit_platt_sigmoid(std::span<const double> decision_values,
 /// (Wu–Lin–Weng).  `pairwise(i, j)` for i < j is P(class i | {i, j}, x).
 std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise);
 
-/// A single two-class soft-margin SVM.
+class SupportVectorPool;  // ml/svm_plan.hpp
+
+/// A single two-class soft-margin SVM.  Its support vectors are rows of
+/// a SupportVectorPool: a pool of its own after `fit` or `load`, or the
+/// pool every machine of an SvmClassifier shares.
 class BinarySvm {
  public:
   /// Trains on rows of X with ±1 labels.  When `config.probability` is
@@ -90,20 +94,22 @@ class BinarySvm {
            SharedGramCache* shared_cache = nullptr,
            std::span<const std::size_t> shared_rows = {});
 
-  /// Signed decision value f(x) = Σ coef_i k(sv_i, x) − rho.
+  /// Signed decision value f(x) = Σ coef_i k(sv_i, x) − rho: the
+  /// per-machine reference walk, one scalar kernel call per support
+  /// vector, each row read from the pool.
   double decision_value(std::span<const double> x) const;
 
   /// P(label = +1 | x) via the Platt sigmoid (requires probability fit).
   double probability_positive(std::span<const double> x) const;
 
   bool has_probability() const { return has_platt_; }
-  std::size_t num_support_vectors() const { return support_vectors_.rows(); }
-  /// The gathered support-vector rows (inference-plan pool building).
-  const Matrix& support_vectors() const { return support_vectors_; }
-  /// Full-matrix row provenance per SV when fitted via a shared cache
-  /// or loaded from a v2 file; empty otherwise.  Parallel to the SV
-  /// rows when present.
-  std::span<const std::size_t> sv_full_rows() const { return sv_full_rows_; }
+  std::size_t num_support_vectors() const { return coef_.size(); }
+  /// The pool holding this machine's support vectors (null before fit).
+  const std::shared_ptr<const SupportVectorPool>& pool() const {
+    return pool_;
+  }
+  /// Pool row of each support vector, in this machine's SV order.
+  std::span<const std::uint32_t> pool_indices() const { return pool_idx_; }
   const Kernel& kernel() const { return kernel_; }
   double rho() const { return rho_; }
   /// alpha_i * y_i per support vector (|coef_i| = alpha_i); exposed for
@@ -120,48 +126,50 @@ class BinarySvm {
   double decision_value_cached(SharedGramCache& cache,
                                std::size_t full_row) const;
 
-  /// Serialization of a trained machine.
-  void save(std::ostream& out) const;
+  /// Reads one machine of an svm-ovo-v1 stream (binary-svm-v1 or -v2),
+  /// into a pool of its own.  Current models save as svm-ovo-v2, which
+  /// SvmClassifier reads itself.
   static BinarySvm load(std::istream& in);
 
  private:
+  friend class SvmClassifier;
+
   void fit_decision(const Matrix& X, std::span<const signed char> y,
                     const SvmConfig& config, double c_positive,
                     double c_negative, SharedGramCache* shared_cache,
                     std::span<const std::size_t> shared_rows);
 
   Kernel kernel_;
-  Matrix support_vectors_;
-  std::vector<double> coef_;  ///< alpha_i * y_i, aligned with SV rows
+  std::shared_ptr<const SupportVectorPool> pool_;
+  std::vector<std::uint32_t> pool_idx_;  ///< pool row per SV
+  std::vector<double> coef_;  ///< alpha_i * y_i, aligned with pool_idx_
   /// Full-matrix row index of each SV when fitted via a shared cache
-  /// (empty otherwise); enables decision_value_cached.
+  /// (empty otherwise); enables decision_value_cached.  Never saved.
   std::vector<std::size_t> sv_full_rows_;
+  /// Each SV's row in the matrix `fit` was given, until SvmClassifier
+  /// moves the machine onto its model's pool.
+  std::vector<std::size_t> fit_rows_;
+  /// The box: 0 <= alpha_i <= c_positive_ for +1 support vectors and
+  /// <= c_negative_ for -1 ones.
+  double c_positive_ = 0.0;
+  double c_negative_ = 0.0;
   double rho_ = 0.0;
   PlattSigmoid platt_;
   bool has_platt_ = false;
-  bool trained_ = false;
 };
 
 class SvmInferencePlan;  // ml/svm_plan.hpp
 
 /// One-vs-one multiclass SVM with coupled probability outputs.
 ///
-/// Prediction has two runtime-selectable paths (XDMODML_SVM_PREDICT,
-/// see ml/svm_plan.hpp): the legacy per-machine scalar kernel walk, and
-/// the compiled inference plan — one deduplicated support-vector pool
-/// swept with SIMD kernel rows, shared by all machines.  The plan is
-/// built after fit (compiled mode) or lazily and thread-safely on first
-/// compiled prediction (e.g. after load).
+/// A trained model stores each support vector once, in one pool all of
+/// its machines index into (ml/svm_plan.hpp), and serves every
+/// prediction through the compiled inference plan over that pool — one
+/// SIMD kernel row per query, shared by all machines.  `fit` and `load`
+/// build the plan; copies share it.
 class SvmClassifier final : public Classifier {
  public:
   explicit SvmClassifier(SvmConfig config = {}, std::uint64_t seed = 11);
-  ~SvmClassifier() override;
-
-  /// Copies share nothing: the copy re-derives its plan on first use.
-  SvmClassifier(const SvmClassifier& other);
-  SvmClassifier& operator=(const SvmClassifier& other);
-  SvmClassifier(SvmClassifier&&) noexcept;
-  SvmClassifier& operator=(SvmClassifier&&) noexcept;
 
   void fit(const Matrix& X, std::span<const int> y, int num_classes) override;
 
@@ -216,26 +224,20 @@ class SvmClassifier final : public Classifier {
   Prediction predict_with_probability(
       std::span<const double> x) const override;
 
-  /// Fused batch entry points: in compiled mode, tiles of up to 8 query
-  /// rows are swept against the shared support-vector pool (one pool
-  /// read serves the tile) and every machine is reduced over the tile's
-  /// lanes at once, the tiles fanned out on the thread pool; in legacy
-  /// mode these fall back to the per-row base-class loop.  Results equal
-  /// the single-row calls bit for bit.
+  /// Fused batch entry points: tiles of up to 8 query rows are swept
+  /// against the shared support-vector pool (one pool read serves the
+  /// tile) and every machine is reduced over the tile's lanes at once,
+  /// the tiles fanned out on the thread pool.  Results equal the
+  /// single-row calls bit for bit.
   std::vector<int> predict_batch(const Matrix& X) const override;
   std::vector<std::vector<double>> predict_proba_batch(
       const Matrix& X) const override;
   std::vector<Prediction> predict_batch_with_probability(
       const Matrix& X) const override;
 
-  /// The compiled inference plan, built on first call (thread-safe via
-  /// std::call_once; concurrent first predictions build exactly once).
-  /// Requires a trained model.
+  /// The compiled inference plan, built by fit and load.  Requires a
+  /// trained model.
   const SvmInferencePlan& inference_plan() const;
-
-  /// The plan if some caller already forced its construction, else
-  /// nullptr — report/metrics hooks peek without paying for a build.
-  std::shared_ptr<const SvmInferencePlan> plan_if_built() const;
 
   int num_classes() const override { return num_classes_; }
   std::size_t num_machines() const { return machines_.size(); }
@@ -244,26 +246,26 @@ class SvmClassifier final : public Classifier {
   const BinarySvm& machine(std::size_t idx) const { return machines_[idx]; }
   std::size_t total_support_vectors() const;
 
-  /// Serialization of a trained multiclass model.
+  /// Serialization of a trained multiclass model: writes svm-ovo-v2
+  /// (the pool once, then each machine over it); reads v2 and the older
+  /// svm-ovo-v1 (DESIGN.md §13).
   void save(std::ostream& out) const;
   static SvmClassifier load(std::istream& in);
 
  private:
   std::size_t machine_index(int a, int b) const;  // requires a < b
 
-  /// True when this call should ride the compiled plan.
-  bool use_compiled() const;
+  /// Moves every machine onto one pool of `rows` (row-major, `dims`
+  /// wide), machine m's support vector s onto pool row pool_idx[m][s],
+  /// and builds the plan.
+  void share_pool(std::span<const double> rows, std::size_t dims,
+                  std::vector<std::vector<std::uint32_t>> pool_idx);
 
   SvmConfig config_;
   std::uint64_t seed_;
   int num_classes_ = 0;
   std::vector<BinarySvm> machines_;  // (0,1), (0,2), ..., (k-2,k-1)
-
-  /// Lazily built compiled plan.  Behind a unique_ptr because
-  /// std::once_flag is immovable and the classifier must stay movable
-  /// (load() returns by value); defined in svm.cpp.
-  struct PlanSlot;
-  mutable std::unique_ptr<PlanSlot> plan_slot_;
+  std::shared_ptr<const SvmInferencePlan> plan_;
 };
 
 /// ε-support-vector regression (doubled-variable SMO, as in LIBSVM).

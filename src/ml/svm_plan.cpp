@@ -1,12 +1,7 @@
 #include "ml/svm_plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <unordered_map>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -21,36 +16,6 @@ constexpr std::size_t kLanes = simd::kTileQueries;
 // Mirrors kernel.cpp: integral degrees up to this bound use
 // exponentiation by squaring (bit-identical to the scalar kernel path).
 constexpr double kMaxIntegralDegree = 64.0;
-
-// The active prediction mode, published once.  -1 = unselected;
-// otherwise the SvmPredictMode value.  Mirrors simd.cpp's startup ISA
-// selection: racing first reads all compute the same env-derived value.
-std::atomic<int> g_mode{-1};
-
-SvmPredictMode choose_startup_mode() {
-  if (const char* env = std::getenv("XDMODML_SVM_PREDICT")) {
-    if (const auto requested = svm_predict_mode_from_string(env)) {
-      return *requested;
-    }
-    std::fprintf(stderr,
-                 "xdmodml: XDMODML_SVM_PREDICT=%s unrecognized "
-                 "(want legacy|compiled); using compiled\n",
-                 env);
-  }
-  return SvmPredictMode::kCompiled;
-}
-
-// FNV-1a over a row's raw bytes — the content-dedup bucket key.  Exact
-// equality is re-verified with memcmp, so collisions only cost a probe.
-std::uint64_t hash_row_bytes(const double* row, std::size_t d) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(row);
-  for (std::size_t i = 0; i < d * sizeof(double); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 struct PlanMetrics {
   obs::Gauge& unique_svs;
@@ -86,37 +51,41 @@ void count_queries(std::size_t queries, std::size_t unique) {
 
 }  // namespace
 
-SvmPredictMode svm_predict_mode() {
-  int m = g_mode.load(std::memory_order_relaxed);
-  if (m < 0) {
-    m = static_cast<int>(choose_startup_mode());
-    g_mode.store(m, std::memory_order_relaxed);
+SupportVectorPool::SupportVectorPool(std::span<const double> rows,
+                                     std::size_t dims)
+    : size_(dims == 0 ? 0 : rows.size() / dims), dims_(dims) {
+  XDMODML_CHECK(size_ > 0 && size_ <= 0xffffffffull &&
+                    rows.size() == size_ * dims,
+                "support-vector pool needs whole rows");
+  // Sized exactly, since a model keeps its pool; the last panel's
+  // missing rows are zero, with zero norms.
+  sq_norms_.assign(simd::panel_rows(size_), 0.0);
+  for (std::size_t j = 0; j < size_; ++j) {
+    sq_norms_[j] = simd::squared_norm(rows.data() + j * dims, dims);
   }
-  return static_cast<SvmPredictMode>(m);
+  panels_.assign(simd::panel_rows(size_) * dims, 0.0);
+  std::copy(rows.begin(), rows.end(), panels_.begin());
+  simd::pack_panels(panels_.data(), size_, dims);
 }
 
-void set_svm_predict_mode(SvmPredictMode mode) {
-  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-std::string_view svm_predict_mode_name(SvmPredictMode mode) {
-  return mode == SvmPredictMode::kLegacy ? "legacy" : "compiled";
-}
-
-std::optional<SvmPredictMode> svm_predict_mode_from_string(
-    std::string_view name) {
-  if (name == "legacy") return SvmPredictMode::kLegacy;
-  if (name == "compiled") return SvmPredictMode::kCompiled;
-  return std::nullopt;
+void SupportVectorPool::row(std::size_t j, double* out) const {
+  const double* panel =
+      panels_.data() + j / simd::kPanelRows * simd::kPanelRows * dims_;
+  for (std::size_t f = 0; f < dims_; ++f) {
+    out[f] = panel[f * simd::kPanelRows + j % simd::kPanelRows];
+  }
 }
 
 std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
     std::span<const BinarySvm> machines) {
-  XDMODML_CHECK(!machines.empty(), "inference plan needs trained machines");
+  XDMODML_CHECK(!machines.empty() && machines[0].pool() != nullptr,
+                "inference plan needs trained machines");
 
   auto plan = std::shared_ptr<SvmInferencePlan>(new SvmInferencePlan());
   plan->kernel_ = machines[0].kernel();
-  plan->dims_ = machines[0].support_vectors().cols();
+  plan->pool_ = machines[0].pool();
+  plan->dims_ = plan->pool_->dims();
+  plan->unique_ = plan->pool_->size();
   const Kernel& kern = plan->kernel_;
   auto& rk = plan->row_kernel_;
   rk.gamma = kern.gamma;
@@ -130,75 +99,20 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
     rk.degree = static_cast<std::uint64_t>(kern.degree);
   }
 
-  // Every one-vs-one machine of a fit shares one kernel; a mixed set
-  // cannot share a pool row sweep.
-  for (const auto& m : machines) {
-    const auto& k = m.kernel();
-    XDMODML_CHECK(k.type == plan->kernel_.type &&
-                      k.gamma == plan->kernel_.gamma &&
-                      k.degree == plan->kernel_.degree &&
-                      k.coef0 == plan->kernel_.coef0,
-                  "inference plan requires one kernel across machines");
-    XDMODML_CHECK(m.support_vectors().cols() == plan->dims_,
-                  "inference plan requires one feature width");
-    XDMODML_CHECK(m.num_support_vectors() > 0,
-                  "inference plan requires trained machines");
-    plan->total_ += m.num_support_vectors();
-  }
-
-  // Provenance keying is valid only when EVERY machine carries full-
-  // matrix row indices (one fit's machines share a row keyspace; a
-  // machine without provenance — e.g. fitted cache-less or loaded from
-  // a v1 file — would alias index 7 of a different matrix).
-  bool provenance = true;
-  for (const auto& m : machines) {
-    if (m.sv_full_rows().size() != m.num_support_vectors()) {
-      provenance = false;
-      break;
-    }
-  }
-  plan->provenance_ = provenance;
-
-  // Stage the unique rows row-major; content keying compares them
-  // bit-exactly, and the panels are packed from them afterwards.
-  const std::size_t d = plan->dims_;
-  std::vector<double> staging;
-  staging.reserve(machines[0].num_support_vectors() * d);
-  std::unordered_map<std::size_t, std::uint32_t> by_full_row;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_content;
-
-  auto pool_index_for = [&](const BinarySvm& m,
-                            std::size_t s) -> std::uint32_t {
-    const std::size_t next = staging.size() / d;
-    XDMODML_CHECK(next <= 0xffffffffull, "support-vector pool too large");
-    const auto row = m.support_vectors().row(s);
-    if (provenance) {
-      const auto [it, inserted] =
-          by_full_row.try_emplace(m.sv_full_rows()[s],
-                                  static_cast<std::uint32_t>(next));
-      if (!inserted) return it->second;
-    } else {
-      auto& bucket = by_content[hash_row_bytes(row.data(), d)];
-      for (const auto idx : bucket) {
-        if (std::memcmp(staging.data() + idx * d, row.data(),
-                        d * sizeof(double)) == 0) {
-          return idx;
-        }
-      }
-      bucket.push_back(static_cast<std::uint32_t>(next));
-    }
-    staging.insert(staging.end(), row.begin(), row.end());
-    return static_cast<std::uint32_t>(next);
-  };
-
+  // Every one-vs-one machine of a model shares one kernel and one pool;
+  // a mixed set cannot share a pool row sweep.
   plan->machines_.reserve(machines.size());
   for (const auto& m : machines) {
+    const auto& k = m.kernel();
+    XDMODML_CHECK(k.type == kern.type && k.gamma == kern.gamma &&
+                      k.degree == kern.degree && k.coef0 == kern.coef0,
+                  "inference plan requires one kernel across machines");
+    XDMODML_CHECK(m.pool() == plan->pool_,
+                  "inference plan requires one support-vector pool");
+    plan->total_ += m.num_support_vectors();
     MachineSlice slice;
-    const std::size_t svs = m.num_support_vectors();
-    slice.sv_pool_idx.reserve(svs);
-    for (std::size_t s = 0; s < svs; ++s) {
-      slice.sv_pool_idx.push_back(pool_index_for(m, s));
-    }
+    slice.sv_pool_idx.assign(m.pool_indices().begin(),
+                             m.pool_indices().end());
     slice.coef.assign(m.coefficients().begin(), m.coefficients().end());
     slice.rho = m.rho();
     slice.has_platt = m.has_probability();
@@ -209,18 +123,6 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
     plan->ovo_.push_back({slice.sv_pool_idx.data(), slice.coef.data(),
                           slice.coef.size(), slice.rho});
   }
-
-  // Pack the staged rows panel-major in place, so the pool is never held
-  // twice; the last panel's missing rows are zero, with zero norms.
-  const std::size_t unique = staging.size() / d;
-  plan->unique_ = unique;
-  plan->sq_norms_.assign(simd::panel_rows(unique), 0.0);
-  for (std::size_t j = 0; j < unique; ++j) {
-    plan->sq_norms_[j] = simd::squared_norm(staging.data() + j * d, d);
-  }
-  staging.resize(simd::panel_rows(unique) * d, 0.0);
-  simd::pack_panels(staging.data(), unique, d);
-  plan->panels_ = std::move(staging);
 
   auto& metrics = PlanMetrics::instance();
   metrics.unique_svs.set(static_cast<std::int64_t>(plan->unique_));
@@ -267,7 +169,7 @@ void SvmInferencePlan::kernel_row(std::span<const double> x,
   XDMODML_CHECK(out.size() >= unique_, "kernel_row output too small");
   count_queries(1, unique_);
   simd::kernel_row_panels(x.data(), query_sq_norm(x.data()), dims_,
-                          panels_.data(), sq_norms_.data(), unique_,
+                          pool_->panels(), pool_->sq_norms(), unique_,
                           row_kernel_, out.data());
   finish_pow(out.data(), unique_, 1);
 }
@@ -308,7 +210,7 @@ void SvmInferencePlan::kernel_tile(const double* queries, std::size_t b,
     tile.x_sq[q] = x != nullptr ? query_sq_norm(x) : 0.0;
   }
   simd::kernel_tile(tile.queries_t.data(), tile.x_sq.data(), dims_,
-                    panels_.data(), sq_norms_.data(), unique_, row_kernel_,
+                    pool_->panels(), pool_->sq_norms(), unique_, row_kernel_,
                     tile.krows.data());
   for (std::size_t q = 0; q < kLanes; ++q) {
     finish_pow(tile.krows.data() + q, unique_, kLanes);

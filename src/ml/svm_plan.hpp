@@ -3,17 +3,13 @@
 //
 // Serving is the traffic-facing hot path (the paper's §IV production
 // goal pushes every Uncategorized/NA job through the 20-class RBF
-// classifier), but the legacy `BinarySvm::decision_value` walks each
-// machine's private support-vector copy with a scalar kernel call — a
-// training row that supports many of the k(k−1)/2 one-vs-one machines
-// has K(x, row) recomputed once per machine on every query.
-//
-// The plan fixes that once per model:
-//  * all machines' support vectors are merged into ONE pool of unique
-//    rows — keyed on full-matrix row provenance (`sv_full_rows_`) when
-//    every machine carries it, content (bit-exact row bytes) otherwise —
-//    stored panel-major (8 rows per panel, feature-major inside; see
-//    util/simd.hpp) with per-row squared norms precomputed;
+// classifier).  A training row that supports many of the k(k−1)/2
+// one-vs-one machines would have K(x, row) recomputed once per machine
+// if each machine walked its own rows.  So a model stores each support
+// vector once, in one `SupportVectorPool` its machines index into (as
+// LIBSVM's multi-class model does), and the plan serves from that pool:
+//  * the pool is stored panel-major (8 rows per panel, feature-major
+//    inside; see util/simd.hpp) with per-row squared norms precomputed;
 //  * prediction computes ONE fused kernel row K(x, pool) through the
 //    runtime-dispatched SIMD microkernels (util/simd.hpp; the scalar
 //    table serves XDMODML_SIMD=scalar builds/CPUs);
@@ -27,20 +23,15 @@
 // are the same bits whether it is predicted alone or in any tile lane:
 // the tile and the single-query row compute each element in one order,
 // and the tile reduce rounds like decision_value (util/simd.hpp).
-// Decision values stay within ~1e-10 of the legacy scalar walk.
-//
-// The legacy path remains runtime-selectable via XDMODML_SVM_PREDICT
-// (see SvmPredictMode below) and is bit-identical to its pre-plan
-// behaviour — it is the differential arm the tier1-infer tests and
+// Decision values stay within ~1e-10 of the per-machine reference walk
+// (`BinarySvm::decision_value`), which the tier1-infer tests and
 // bench_svm_infer compare against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "ml/svm.hpp"
@@ -48,31 +39,33 @@
 
 namespace xdmodml::ml {
 
-/// Prediction-path selector.  kCompiled (default) routes SvmClassifier
-/// prediction through the shared-pool plan; kLegacy keeps the original
-/// per-machine scalar kernel walk (differential / ablation arm).
-enum class SvmPredictMode { kLegacy, kCompiled };
+/// Support-vector rows stored once for every machine of a model:
+/// panel-major (util/simd.hpp), zero-padded to whole panels, with each
+/// row's squared norm precomputed.  Immutable; machines and plans share
+/// it through a shared_ptr.
+class SupportVectorPool {
+ public:
+  /// Packs `rows` — row-major, `dims` values per row.
+  SupportVectorPool(std::span<const double> rows, std::size_t dims);
 
-/// The active mode.  Selected once on first use from the
-/// XDMODML_SVM_PREDICT environment variable ("legacy" / "compiled";
-/// anything else, or unset, means compiled).
-SvmPredictMode svm_predict_mode();
+  std::size_t size() const { return size_; }
+  std::size_t dims() const { return dims_; }
+  /// Copies row j into out[0, dims()).
+  void row(std::size_t j, double* out) const;
+  const double* panels() const { return panels_.data(); }
+  const double* sq_norms() const { return sq_norms_.data(); }
 
-/// Forces the mode (A/B testing, the differential test suite).
-void set_svm_predict_mode(SvmPredictMode mode);
+ private:
+  std::size_t size_ = 0;
+  std::size_t dims_ = 0;
+  std::vector<double> panels_;
+  std::vector<double> sq_norms_;
+};
 
-/// "legacy" / "compiled".
-std::string_view svm_predict_mode_name(SvmPredictMode mode);
-
-/// Parses an XDMODML_SVM_PREDICT value; nullopt for anything
-/// unrecognized.  Exposed for tests.
-std::optional<SvmPredictMode> svm_predict_mode_from_string(
-    std::string_view name);
-
-/// Immutable compiled inference plan over a set of trained one-vs-one
-/// machines.  Build once (SvmClassifier does so after fit, or lazily and
-/// thread-safely after load), then share freely: every method is const
-/// and touches no mutable state.
+/// Immutable compiled inference plan over one model's one-vs-one
+/// machines.  SvmClassifier builds it at fit and at load; copies of the
+/// classifier share it.  Every method is const and touches no mutable
+/// state.
 class SvmInferencePlan {
  public:
   /// One machine's view into the pool: decision value
@@ -85,11 +78,8 @@ class SvmInferencePlan {
     bool has_platt = false;
   };
 
-  /// Merges the machines' support vectors into the deduplicated pool.
-  /// Keyed on sv_full_rows() provenance when every machine carries it
-  /// (one fit's machines share a full-matrix keyspace), content hash
-  /// with bit-exact verification otherwise.  Updates the svm.plan.*
-  /// gauges.  Requires at least one trained machine.
+  /// The plan over `machines`, which must be trained, share one kernel
+  /// and read one support-vector pool.  Updates the svm.plan.* gauges.
   static std::shared_ptr<const SvmInferencePlan> build(
       std::span<const BinarySvm> machines);
 
@@ -98,7 +88,6 @@ class SvmInferencePlan {
   /// total / unique — how many machines the average pool row serves.
   double dedup_ratio() const;
   std::size_t dims() const { return dims_; }
-  bool provenance_keyed() const { return provenance_; }
   /// Bytes of support-vector payload in the pool (f64 coordinates; the
   /// last panel's zero padding is not counted).
   std::size_t pool_bytes() const;
@@ -153,12 +142,10 @@ class SvmInferencePlan {
 
   Kernel kernel_;
   simd::RowKernel row_kernel_;     ///< what the SIMD kernels fuse
-  bool provenance_ = false;
+  std::shared_ptr<const SupportVectorPool> pool_;
   std::size_t dims_ = 0;
   std::size_t unique_ = 0;
   std::size_t total_ = 0;
-  std::vector<double> panels_;     ///< panel-major pool (util/simd.hpp)
-  std::vector<double> sq_norms_;   ///< ‖pool_j‖², zero-padded like panels_
   std::vector<MachineSlice> machines_;
   std::vector<simd::OvoMachine> ovo_;  ///< views of machines_ for the reduce
 };

@@ -1,9 +1,6 @@
 #include "util/trace.hpp"
 
 #include <chrono>
-#include <functional>
-#include <sstream>
-#include <thread>
 
 namespace xdmodml::obs {
 
@@ -14,73 +11,9 @@ std::uint64_t now_ns() {
           .count());
 }
 
-namespace {
-
-std::uint64_t current_thread_id() {
-  return static_cast<std::uint64_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()));
-}
-
-}  // namespace
-
-TraceRing& TraceRing::instance() {
-  static auto* ring = new TraceRing();
-  return *ring;
-}
-
-void TraceRing::push(const TraceEvent& event) {
-  std::lock_guard lock(mutex_);
-  if (events_.size() < kCapacity) {
-    events_.push_back(event);
-  } else {
-    events_[next_ % kCapacity] = event;
-  }
-  ++next_;
-}
-
-std::vector<TraceEvent> TraceRing::recent() const {
-  std::lock_guard lock(mutex_);
-  if (events_.size() < kCapacity) return events_;
-  // Ring is full: the oldest entry sits at the next write slot.
-  std::vector<TraceEvent> out;
-  out.reserve(kCapacity);
-  const std::size_t head = next_ % kCapacity;
-  for (std::size_t i = 0; i < kCapacity; ++i) {
-    out.push_back(events_[(head + i) % kCapacity]);
-  }
-  return out;
-}
-
-std::uint64_t TraceRing::total() const {
-  std::lock_guard lock(mutex_);
-  return next_;
-}
-
-std::string TraceRing::to_json() const {
-  const auto events = recent();
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& e = events[i];
-    os << (i ? ", " : "") << "{\"name\": \"" << (e.name ? e.name : "")
-       << "\", \"start_ns\": " << e.start_ns
-       << ", \"duration_ns\": " << e.duration_ns
-       << ", \"thread\": " << e.thread_id << "}";
-  }
-  os << "]";
-  return os.str();
-}
-
-void TraceRing::clear() {
-  std::lock_guard lock(mutex_);
-  events_.clear();
-  next_ = 0;
-}
-
-ScopedTimer::ScopedTimer(Histogram& hist, const char* span_name) {
+ScopedTimer::ScopedTimer(Histogram& hist) {
   if (!enabled()) return;  // inert: no clock read, nothing to record
   hist_ = &hist;
-  name_ = span_name;
   start_ = now_ns();
 }
 
@@ -88,10 +21,6 @@ std::uint64_t ScopedTimer::stop() {
   if (hist_ == nullptr) return 0;
   const std::uint64_t elapsed = now_ns() - start_;
   hist_->record(elapsed);
-  if (name_ != nullptr) {
-    TraceRing::instance().push(
-        TraceEvent{name_, start_, elapsed, current_thread_id()});
-  }
   hist_ = nullptr;
   return elapsed;
 }

@@ -1,23 +1,16 @@
-// RAII timing spans and a bounded in-memory trace ring.
+// RAII timing spans.
 //
 // `ScopedTimer` is the one sanctioned way to put a wall clock on a code
 // path: when the observability toggle (obs::enabled()) is off it reads
 // no time source and records nothing, so instrumented paths cost a
 // single predicted branch.  When on, the elapsed nanoseconds land in a
-// registry histogram, and — if the span was given a name — a TraceEvent
-// is appended to the process-wide TraceRing so the last few thousand
-// spans can be dumped as JSON for latency forensics.
+// registry histogram.
 //
 // Spans are meant to be coarse (an SMO solve, a grid cell, a batch
-// ingest), never per-element: the ring takes a mutex per push, which is
-// fine at span granularity and TSan-clean, but would serialize a hot
-// loop.  See DESIGN.md §9 for the cost rules.
+// ingest), never per-element.  See DESIGN.md §9 for the cost rules.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "util/metrics.hpp"
 
@@ -26,50 +19,11 @@ namespace xdmodml::obs {
 /// Monotonic timestamp in nanoseconds (steady clock).
 std::uint64_t now_ns();
 
-/// One completed span.  `name` must be a string literal (or otherwise
-/// outlive the ring) — spans are recorded by pointer, never copied.
-struct TraceEvent {
-  const char* name = nullptr;
-  std::uint64_t start_ns = 0;
-  std::uint64_t duration_ns = 0;
-  std::uint64_t thread_id = 0;
-};
-
-/// Fixed-capacity ring of the most recent spans.  Push is mutex-guarded
-/// (span-granularity only); the singleton is leaked like the registry.
-class TraceRing {
- public:
-  static constexpr std::size_t kCapacity = 4096;
-
-  static TraceRing& instance();
-
-  void push(const TraceEvent& event);
-
-  /// Recorded events, oldest first (at most kCapacity).
-  std::vector<TraceEvent> recent() const;
-
-  /// Total spans ever pushed (recent() holds min(total, kCapacity)).
-  std::uint64_t total() const;
-
-  /// [{"name": ..., "start_ns": ..., "duration_ns": ..., "thread": ...}]
-  std::string to_json() const;
-
-  void clear();
-
- private:
-  TraceRing() { events_.reserve(kCapacity); }
-
-  mutable std::mutex mutex_;
-  std::vector<TraceEvent> events_;  // ring once size() == kCapacity
-  std::uint64_t next_ = 0;          // total pushes; next_ % kCapacity = slot
-};
-
 /// Times a scope into `hist` (nanoseconds).  With obs::enabled() off at
-/// construction this is inert — no clock read, no record.  A non-null
-/// `span_name` additionally logs the span to TraceRing::instance().
+/// construction this is inert — no clock read, no record.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram& hist, const char* span_name = nullptr);
+  explicit ScopedTimer(Histogram& hist);
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -81,7 +35,6 @@ class ScopedTimer {
 
  private:
   Histogram* hist_ = nullptr;  // null once stopped or when inert
-  const char* name_ = nullptr;
   std::uint64_t start_ = 0;
 };
 

@@ -1,6 +1,7 @@
 // Seeded mutation smoke over the two text input boundaries: one job CSV
-// export and one saved JobClassifier, each cut short, bit-flipped and
-// token-swapped at seeded positions.  Every mutant must either parse or
+// export, one saved JobClassifier and one SVM stream in the old
+// svm-ovo-v1 layout, each cut short, bit-flipped and token-swapped at
+// seeded positions.  Every mutant must either parse or
 // throw an xdmodml::Error; any other exception fails the test and a
 // crash kills it.  A model that loads is also asked for predictions,
 // which may refuse with an Error but must not crash either.
@@ -16,7 +17,9 @@
 #include <vector>
 
 #include "core/job_classifier.hpp"
+#include "ml/svm.hpp"
 #include "supremm/summary_io.hpp"
+#include "svm_v1_stream.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "workload/dataset_helpers.hpp"
@@ -148,6 +151,30 @@ TEST(InputMutation, JobClassifierMutantsLoadOrRaiseStructuredErrors) {
           const auto model = core::JobClassifier::load(in);
           for (const auto& job : queries) {
             structured([&] { (void)model.predict(job); }, i);
+          }
+        },
+        i);
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kCasesPerInput);
+}
+
+// The old layout loads through its own path: every machine's rows are
+// read, then gathered into one pool by content.
+TEST(InputMutation, OldSvmStreamMutantsLoadOrRaiseStructuredErrors) {
+  const std::string bytes = kSvmV1Stream;
+  const std::vector<std::vector<double>> queries = {
+      {0.0, 0.0}, {1.5, -0.5}, {-2.0, 3.0}};
+  Rng rng(2016);
+  int loaded = 0;
+  for (int i = 0; i < kCasesPerInput; ++i) {
+    const auto mutant = mutate(bytes, " \n", rng, i);
+    loaded += structured(
+        [&] {
+          std::istringstream in(mutant);
+          const auto model = ml::SvmClassifier::load(in);
+          for (const auto& x : queries) {
+            structured([&] { (void)model.predict_with_probability(x); }, i);
           }
         },
         i);

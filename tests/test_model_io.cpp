@@ -109,13 +109,12 @@ TEST(ModelIo, SvmRoundTripPredictionsIdentical) {
   const auto loaded = ml::SvmClassifier::load(in);
   EXPECT_EQ(loaded.num_machines(), svm.num_machines());
   EXPECT_EQ(loaded.total_support_vectors(), svm.total_support_vectors());
-  // v2 streams carry the SV provenance, so the reloaded compiled plan
-  // rebuilds the same deduplicated pool the pre-save model had.
+  // The stream stores the deduplicated pool, so the reloaded plan has
+  // the pool the pre-save model had.
   const auto& plan = svm.inference_plan();
   const auto& reloaded_plan = loaded.inference_plan();
   EXPECT_EQ(reloaded_plan.unique_support_vectors(),
             plan.unique_support_vectors());
-  EXPECT_EQ(reloaded_plan.provenance_keyed(), plan.provenance_keyed());
   for (std::size_t r = 0; r < ds.X.rows(); ++r) {
     const auto pa = svm.predict_proba(ds.X.row(r));
     const auto pb = loaded.predict_proba(ds.X.row(r));
@@ -398,6 +397,57 @@ TEST(ModelIo, RbfGammaMustBePositive) {
   svr.fit(X, y);
   std::istringstream in(with_value(saved(svr), "gamma", "-5"));
   EXPECT_THROW(ml::SvmRegressor::load(in), InvalidArgument);
+}
+
+TEST(ModelIo, SvmCoefficientOutsideItsBoxIsRejected) {
+  // +1e308 and -1e308 over two coefficients of one machine loaded and
+  // served finite but changed probabilities for every training row.
+  const auto ds = blob_dataset(30);
+  ml::SvmConfig cfg;
+  cfg.kernel = ml::Kernel::rbf(0.5);
+  cfg.c = 10.0;
+  ml::SvmClassifier svm(cfg, 7);
+  svm.fit(ds.X, ds.labels, 3);
+  const auto text = saved(svm);
+  // Machine 0's coefficient line: "coef <n> <c_0> <c_1> ...".
+  const auto begin = text.find("\ncoef ") + 6;
+  std::istringstream fields(text.substr(begin, text.find('\n', begin) - begin));
+  std::string n;
+  std::string c0;
+  std::string c1;
+  std::string rest;
+  fields >> n >> c0 >> c1;
+  std::getline(fields, rest);
+  std::istringstream in(with_value(text, "coef", n + " 1e308 -1e308" + rest));
+  try {
+    (void)ml::SvmClassifier::load(in);
+    ADD_FAILURE() << "out-of-box coefficients loaded";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("machine 0"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ModelIo, ForestCountsAreRangeChecked) {
+  const auto ds = blob_dataset(20);
+  ml::ForestConfig cfg;
+  cfg.num_trees = 3;
+  ml::RandomForestClassifier rf(cfg, 3);
+  rf.fit(ds.X, ds.labels, 3);
+  const auto forest = saved(rf);
+  // 2^62 trees or nodes threw std::length_error from sizing the vectors
+  // up front; classes 2^32 + 3 narrowed to 3 and loaded; features -1
+  // loaded and predicted.
+  const std::pair<const char*, const char*> edits[] = {
+      {"trees", "4611686018427387904"},
+      {"nodes", "4611686018427387904"},
+      {"classes", "4294967299"},
+      {"features", "-1"}};
+  for (const auto& [tag, value] : edits) {
+    SCOPED_TRACE(tag);
+    std::istringstream in(with_value(forest, tag, value));
+    EXPECT_THROW(ml::RandomForestClassifier::load(in), InvalidArgument);
+  }
 }
 
 TEST(ModelIo, CorruptStreamsRejected) {

@@ -1,6 +1,6 @@
 // Tests for the observability layer (util/metrics.hpp, util/trace.hpp):
 // exact counting under concurrency, log₂ bucket boundaries, exporter
-// shapes, the XDMODML_METRICS toggle, and the trace ring.
+// shapes, the XDMODML_METRICS toggle, and ScopedTimer.
 //
 // The registry is process-global, so every test uses metric names under
 // a test-local prefix and saves/restores the enabled flag it touches.
@@ -242,62 +242,26 @@ TEST(Observability, ScopedTimerIsInertWhenDisabled) {
   auto& hist =
       MetricsRegistry::instance().histogram("test_obs.toggle_hist", "ns");
   hist.reset();
-  auto& ring = TraceRing::instance();
-  ring.clear();
 
   set_enabled(false);
   {
-    ScopedTimer timer(hist, "test_obs.disabled_span");
+    ScopedTimer timer(hist);
     EXPECT_EQ(timer.stop(), 0u);
   }
-  { ScopedTimer timer(hist, "test_obs.disabled_span"); }
+  { ScopedTimer timer(hist); }
   EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(ring.total(), 0u);
 
   set_enabled(true);
-  { ScopedTimer timer(hist, "test_obs.enabled_span"); }
+  { ScopedTimer timer(hist); }
   EXPECT_EQ(hist.count(), 1u);
-  EXPECT_EQ(ring.total(), 1u);
-  const auto events = ring.recent();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "test_obs.enabled_span");
-
-  // Unnamed spans hit the histogram but never the ring.
   { ScopedTimer timer(hist); }
   EXPECT_EQ(hist.count(), 2u);
-  EXPECT_EQ(ring.total(), 1u);
 
   // stop() records exactly once; the destructor then does nothing.
   ScopedTimer timer(hist);
   (void)timer.stop();
   (void)timer.stop();
   EXPECT_EQ(hist.count(), 3u);
-  ring.clear();
-}
-
-TEST(Observability, TraceRingWrapsAndKeepsOldestFirstOrder) {
-  auto& ring = TraceRing::instance();
-  ring.clear();
-  const std::uint64_t pushes = TraceRing::kCapacity + 5;
-  for (std::uint64_t i = 0; i < pushes; ++i) {
-    ring.push(TraceEvent{"test_obs.wrap", i, 1, 0});
-  }
-  EXPECT_EQ(ring.total(), pushes);
-  const auto events = ring.recent();
-  ASSERT_EQ(events.size(), TraceRing::kCapacity);
-  // Oldest surviving span is push #5; order is strictly oldest-first.
-  EXPECT_EQ(events.front().start_ns, 5u);
-  EXPECT_EQ(events.back().start_ns, pushes - 1);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].start_ns, events[i - 1].start_ns + 1);
-  }
-  const std::string json = ring.to_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("\"name\": \"test_obs.wrap\""), std::string::npos);
-  ring.clear();
-  EXPECT_EQ(ring.total(), 0u);
-  EXPECT_TRUE(ring.recent().empty());
 }
 
 TEST(Observability, RegistryResetZeroesEverythingButKeepsReferences) {
@@ -339,7 +303,6 @@ ml::SvmClassifier tiny_svm(bool probability = false) {
 }
 
 TEST(Observability, SvmPlanGaugesPublishedOnBuild) {
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   auto& registry = MetricsRegistry::instance();
   const std::uint64_t builds_before =
       registry.counter("svm.plan.builds").value();
@@ -361,7 +324,6 @@ TEST(Observability, SvmPlanGaugesPublishedOnBuild) {
 
 TEST(Observability, SvmPredictCountersAccumulate) {
   EnabledGuard toggle;
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   auto& registry = MetricsRegistry::instance();
   const auto clf = tiny_svm();
   const auto& plan = clf.inference_plan();
@@ -393,7 +355,6 @@ TEST(Observability, SvmPredictCountersAccumulate) {
 }
 
 TEST(Observability, ServiceReportSurfacesPlanInfo) {
-  ml::set_svm_predict_mode(ml::SvmPredictMode::kCompiled);
   auto gen = workload::WorkloadGenerator::standard({}, 77);
   const auto train_jobs = gen.generate_balanced(6);
   const auto schema = supremm::AttributeSchema::full();
@@ -406,12 +367,11 @@ TEST(Observability, ServiceReportSurfacesPlanInfo) {
   auto clf = std::make_shared<core::JobClassifier>(cfg);
   clf->train(train);
 
-  // The plan is built eagerly by the compiled-mode fit, so the report's
-  // model line carries the pool stats without any prediction happening.
+  // The fit builds the plan, so the report's model line carries the
+  // pool stats without any prediction happening.
   core::ClassificationService service(clf, 0.5);
   const auto report = service.report();
   EXPECT_NE(report.find("model: svm"), std::string::npos);
-  EXPECT_NE(report.find("predict=compiled"), std::string::npos);
   EXPECT_NE(report.find("plan "), std::string::npos);
   EXPECT_NE(report.find("dedup"), std::string::npos);
   EXPECT_NE(clf->model_info().find("machines"), std::string::npos);

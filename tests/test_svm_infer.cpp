@@ -1,10 +1,11 @@
 // Differential tests for the compiled SVM inference plan (ml/svm_plan):
-// the compiled path (deduplicated support-vector pool + SIMD kernel
-// rows + sparse per-machine reduction) must agree with the legacy
-// per-machine scalar kernel walk across kernels, ISAs, batch shapes,
-// serialization round trips and concurrent first use, and the batched
-// path (query tiles + batched reduce) must equal the single-query path
-// bit for bit.  Registered under the `tier1-infer` ctest label, plus an
+// the plan (deduplicated support-vector pool + SIMD kernel rows + sparse
+// per-machine reduction) must agree with the per-machine reference walk
+// (BinarySvm::decision_value, then Platt and pairwise coupling) across
+// kernels, ISAs, batch shapes, serialization round trips, the old-stream
+// loader and threads sharing one plan, and the batched path (query tiles
+// + batched reduce) must equal the single-query path bit for bit.
+// Registered under the `tier1-infer` ctest label, plus an
 // XDMODML_SIMD=scalar environment rerun.
 #include "ml/svm_plan.hpp"
 
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 
 #include "ml/model_io.hpp"
 #include "ml/svm.hpp"
+#include "svm_v1_stream.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -29,22 +32,8 @@
 namespace xdmodml::ml {
 namespace {
 
-/// Restores the prediction mode on scope exit so one test's toggle
-/// cannot leak into another.
-class ModeGuard {
- public:
-  explicit ModeGuard(SvmPredictMode mode) : prev_(svm_predict_mode()) {
-    set_svm_predict_mode(mode);
-  }
-  ~ModeGuard() { set_svm_predict_mode(prev_); }
-  ModeGuard(const ModeGuard&) = delete;
-  ModeGuard& operator=(const ModeGuard&) = delete;
-
- private:
-  SvmPredictMode prev_;
-};
-
-/// Same for the SIMD ISA.
+/// Restores the SIMD ISA on scope exit so one test's choice cannot leak
+/// into another.
 class IsaGuard {
  public:
   explicit IsaGuard(simd::Isa isa) : prev_(simd::active()) {
@@ -106,32 +95,57 @@ SvmConfig infer_config(Kernel kernel, bool probability) {
   return cfg;
 }
 
-TEST(SvmPredictMode, ParseAndNames) {
-  EXPECT_EQ(svm_predict_mode_from_string("legacy"), SvmPredictMode::kLegacy);
-  EXPECT_EQ(svm_predict_mode_from_string("compiled"),
-            SvmPredictMode::kCompiled);
-  EXPECT_FALSE(svm_predict_mode_from_string("auto").has_value());
-  EXPECT_FALSE(svm_predict_mode_from_string("").has_value());
-  EXPECT_EQ(svm_predict_mode_name(SvmPredictMode::kLegacy), "legacy");
-  EXPECT_EQ(svm_predict_mode_name(SvmPredictMode::kCompiled), "compiled");
-}
+/// The per-machine reference walk, built like pipebench's
+/// reference_predict: each machine's BinarySvm::decision_value, then the
+/// clipped Platt probabilities coupled pairwise — or, without Platt,
+/// vote fractions.  `label` follows predict's rule and `votes` the
+/// hard-vote rule (lowest class wins ties).
+struct Reference {
+  std::vector<double> proba;
+  int label = 0;
+  int votes = 0;
+};
 
-TEST(SvmPredictMode, SetOverrides) {
-  const SvmPredictMode before = svm_predict_mode();
-  {
-    ModeGuard guard(SvmPredictMode::kLegacy);
-    EXPECT_EQ(svm_predict_mode(), SvmPredictMode::kLegacy);
-    set_svm_predict_mode(SvmPredictMode::kCompiled);
-    EXPECT_EQ(svm_predict_mode(), SvmPredictMode::kCompiled);
+Reference reference_predict(const SvmClassifier& clf,
+                            std::span<const double> x, bool probability) {
+  const auto k = static_cast<std::size_t>(clf.num_classes());
+  Matrix pairwise(k, k, 0.0);
+  std::vector<double> votes(k, 0.0);
+  std::size_t idx = 0;  // machines are stored in lexicographic (a, b) order
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a + 1; b < k; ++b, ++idx) {
+      const auto& machine = clf.machine(idx);
+      const double f = machine.decision_value(x);
+      ++votes[f > 0.0 ? a : b];
+      if (probability) {
+        const double r = std::clamp(machine.sigmoid().probability(f), 1e-7,
+                                    1.0 - 1e-7);
+        pairwise(a, b) = r;
+        pairwise(b, a) = 1.0 - r;
+      }
+    }
   }
-  EXPECT_EQ(svm_predict_mode(), before);
+  Reference ref;
+  ref.votes = static_cast<int>(std::max_element(votes.begin(), votes.end()) -
+                               votes.begin());
+  if (probability) {
+    ref.proba = couple_pairwise_probabilities(pairwise);
+  } else {
+    for (auto& v : votes) v /= static_cast<double>(idx);
+    ref.proba = votes;
+  }
+  ref.label = static_cast<int>(
+      std::max_element(ref.proba.begin(), ref.proba.end()) -
+      ref.proba.begin());
+  return ref;
 }
 
-// The core differential: for every kernel family, compiled labels /
-// vote labels match legacy exactly and decision values / probabilities
-// agree to 1e-10 (the compiled RBF path evaluates exp(−γ(‖x‖²+‖y‖²
-// −2x·y)) instead of exp(−γ‖x−y‖²), so bit-equality is not expected).
-TEST(SvmInferDifferential, CompiledMatchesLegacyAcrossKernels) {
+// The core differential: for every kernel family, plan labels / vote
+// labels match the reference walk exactly and decision values /
+// probabilities agree to 1e-10 (the plan's RBF path evaluates
+// exp(−γ(‖x‖²+‖y‖²−2x·y)) instead of exp(−γ‖x−y‖²), so bit-equality is
+// not expected).
+TEST(SvmInferDifferential, PlanMatchesReferenceAcrossKernels) {
   const std::vector<Kernel> kernels = {
       Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.5, 1.0)};
   const Matrix probes = probe_rows(12);
@@ -145,27 +159,18 @@ TEST(SvmInferDifferential, CompiledMatchesLegacyAcrossKernels) {
         // Per-machine decision values.
         plan.kernel_row(x, krow);
         for (std::size_t m = 0; m < clf.num_machines(); ++m) {
-          const double legacy = clf.machine(m).decision_value(x);
-          EXPECT_NEAR(plan.decision_value(m, krow), legacy, 1e-10)
+          const double reference = clf.machine(m).decision_value(x);
+          EXPECT_NEAR(plan.decision_value(m, krow), reference, 1e-10)
               << kernel.name() << " machine " << m << " probe " << p;
         }
         // End-to-end labels, votes and probabilities.
-        std::vector<double> legacy_proba;
-        int legacy_label = 0;
-        int legacy_votes = 0;
-        {
-          ModeGuard guard(SvmPredictMode::kLegacy);
-          legacy_proba = clf.predict_proba(x);
-          legacy_label = clf.predict(x);
-          legacy_votes = clf.predict_by_votes(x);
-        }
-        ModeGuard guard(SvmPredictMode::kCompiled);
-        EXPECT_EQ(clf.predict(x), legacy_label);
-        EXPECT_EQ(clf.predict_by_votes(x), legacy_votes);
+        const auto ref = reference_predict(clf, x, probability);
+        EXPECT_EQ(clf.predict(x), ref.label);
+        EXPECT_EQ(clf.predict_by_votes(x), ref.votes);
         const auto proba = clf.predict_proba(x);
-        ASSERT_EQ(proba.size(), legacy_proba.size());
+        ASSERT_EQ(proba.size(), ref.proba.size());
         for (std::size_t c = 0; c < proba.size(); ++c) {
-          EXPECT_NEAR(proba[c], legacy_proba[c], 1e-10)
+          EXPECT_NEAR(proba[c], ref.proba[c], 1e-10)
               << kernel.name() << " class " << c << " probe " << p;
         }
       }
@@ -177,7 +182,6 @@ TEST(SvmInferDifferential, CompiledMatchesLegacyAcrossKernels) {
 // run the same norm-expansion math; only rounding differs).
 TEST(SvmInferDifferential, ScalarIsaMatchesVectorIsa) {
   if (!simd::available(simd::Isa::kAvx2)) GTEST_SKIP() << "scalar-only build";
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
   const Matrix probes = probe_rows(8);
   std::vector<std::vector<double>> vec_proba;
@@ -199,7 +203,6 @@ TEST(SvmInferDifferential, ScalarIsaMatchesVectorIsa) {
 // The batched sweep evaluates each query independently of its block, so
 // batch results are bit-identical to the single-row compiled calls.
 TEST(SvmInferBatch, BatchMatchesSingleExactly) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   for (const bool probability : {true, false}) {
     const auto clf =
         train_blobs(infer_config(Kernel::rbf(0.3), probability));
@@ -230,7 +233,6 @@ TEST(SvmInferBatch, BatchMatchesSingleExactly) {
 // tiles, many tiles — gets exactly the single-row label, probability
 // and probability vector, across kernels, with and without Platt.
 TEST(SvmInferBatch, BatchEqualsSingleForEveryShape) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const std::vector<Kernel> kernels = {
       Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.5, 1.0)};
   const Matrix all = probe_rows(513, 91);
@@ -267,7 +269,6 @@ TEST(SvmInferBatch, BatchEqualsSingleForEveryShape) {
 
 // A row's result does not depend on which batch it rides in or where.
 TEST(SvmInferBatch, RowResultIndependentOfBatchAndPosition) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
   const Matrix probe = probe_rows(1, 5);
   const Matrix others = probe_rows(40, 9);
@@ -333,9 +334,8 @@ SvmClassifier crafted_model(const Kernel& kernel, std::size_t pool_rows,
 // and decision values bit for bit in every lane, for every tile fill,
 // for pools that end mid-panel (the panels hold 8 rows) and for 1, 5 and
 // 48 features (the served schema's width); and those values match the
-// legacy per-machine walk.
+// per-machine reference walk.
 TEST(SvmInferTile, TileAndReduceEqualKernelRowAndDecisionValue) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const std::vector<Kernel> kernels = {
       Kernel::rbf(0.3), Kernel::linear(), Kernel::polynomial(3.0, 0.2, 1.0),
       Kernel::polynomial(2.5, 0.05, 4.0)};
@@ -400,13 +400,9 @@ TEST(SvmInferTile, RejectsBadTileShapes) {
                InvalidArgument);
 }
 
-TEST(SvmInferPlan, DedupStatsAndProvenanceKeying) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  // Default config: one-vs-one machines share the per-fit Gram cache,
-  // so every machine carries full-matrix provenance.
+TEST(SvmInferPlan, DedupStats) {
   const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
   const auto& plan = clf.inference_plan();
-  EXPECT_TRUE(plan.provenance_keyed());
   EXPECT_EQ(plan.total_support_vectors(), clf.total_support_vectors());
   EXPECT_LE(plan.unique_support_vectors(), plan.total_support_vectors());
   EXPECT_GE(plan.dedup_ratio(), 1.0);
@@ -416,41 +412,26 @@ TEST(SvmInferPlan, DedupStatsAndProvenanceKeying) {
   // A 3-class one-vs-one fit reuses training rows across pairs; some
   // dedup must happen for the pool to be worth building.
   EXPECT_LT(plan.unique_support_vectors(), plan.total_support_vectors());
+  // Every machine reads the plan's one pool.
+  for (std::size_t m = 0; m < clf.num_machines(); ++m) {
+    EXPECT_EQ(clf.machine(m).pool(), clf.machine(0).pool());
+  }
 }
 
 TEST(SvmInferPlan, RoundTripPreservesUniqueCount) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
-  // Provenance arm: v2 serialization carries sv_full_rows, so the
-  // reloaded plan index-dedups to the same pool.
-  {
-    const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), true));
-    const auto& plan = clf.inference_plan();
-    ASSERT_TRUE(plan.provenance_keyed());
-    std::stringstream stream;
-    clf.save(stream);
-    const auto loaded = SvmClassifier::load(stream);
-    const auto& reloaded = loaded.inference_plan();
-    EXPECT_TRUE(reloaded.provenance_keyed());
-    EXPECT_EQ(reloaded.unique_support_vectors(),
-              plan.unique_support_vectors());
-    EXPECT_EQ(reloaded.total_support_vectors(),
-              plan.total_support_vectors());
-  }
-  // Content arm: machines fitted without the shared cache carry no
-  // provenance; dedup falls back to content hashing on both sides of
-  // the round trip and still finds the same pool (shared training rows
-  // are gathered bit-identically into each machine).
-  {
+  // The stream stores the pool itself, so a reloaded model has the
+  // pool it was saved with — whether the fit shared one Gram cache
+  // across its machines or gave each its own kernel rows.
+  for (const bool share : {true, false}) {
+    SCOPED_TRACE(share ? "shared cache" : "per-machine kernels");
     auto cfg = infer_config(Kernel::rbf(0.3), true);
-    cfg.share_kernel_cache = false;
+    cfg.share_kernel_cache = share;
     const auto clf = train_blobs(cfg);
     const auto& plan = clf.inference_plan();
-    EXPECT_FALSE(plan.provenance_keyed());
     std::stringstream stream;
     clf.save(stream);
     const auto loaded = SvmClassifier::load(stream);
     const auto& reloaded = loaded.inference_plan();
-    EXPECT_FALSE(reloaded.provenance_keyed());
     EXPECT_EQ(reloaded.unique_support_vectors(),
               plan.unique_support_vectors());
     EXPECT_EQ(reloaded.total_support_vectors(),
@@ -458,10 +439,9 @@ TEST(SvmInferPlan, RoundTripPreservesUniqueCount) {
   }
 }
 
-// A crafted v1 stream (no provenance vectors) must still load, and its
-// plan must content-dedup the shared support vector across machines.
+// A crafted v1 stream (no full_rows) must still load, and its pool must
+// content-dedup the shared support vector across machines.
 TEST(SvmInferPlan, V1StreamLoadsAndContentDedups) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   const auto machine = [](double rho) {
     return "binary-svm-v1\nkernel_type 1\ngamma 0.5\ndegree 3\ncoef0 0\n"
            "rho " +
@@ -474,83 +454,102 @@ TEST(SvmInferPlan, V1StreamLoadsAndContentDedups) {
                            machine(0.1) + machine(0.2) + machine(0.3));
   const auto clf = SvmClassifier::load(stream);
   const auto& plan = clf.inference_plan();
-  EXPECT_FALSE(plan.provenance_keyed());
   EXPECT_EQ(plan.total_support_vectors(), 3u);
   EXPECT_EQ(plan.unique_support_vectors(), 1u);
   EXPECT_NEAR(plan.dedup_ratio(), 3.0, 1e-12);
   const std::vector<double> x{1.0, 2.0};
-  int legacy_label = 0;
-  std::vector<double> legacy_proba;
-  {
-    ModeGuard legacy(SvmPredictMode::kLegacy);
-    legacy_label = clf.predict(x);
-    legacy_proba = clf.predict_proba(x);
-  }
-  EXPECT_EQ(clf.predict(x), legacy_label);
+  const auto ref = reference_predict(clf, x, true);
+  EXPECT_EQ(clf.predict(x), ref.label);
   const auto proba = clf.predict_proba(x);
   for (std::size_t c = 0; c < proba.size(); ++c) {
-    EXPECT_NEAR(proba[c], legacy_proba[c], 1e-10);
+    EXPECT_NEAR(proba[c], ref.proba[c], 1e-10);
   }
 }
 
-// Regression for concurrent first use: two threads race predict_batch
-// against predict_proba on a freshly loaded model (no plan yet); the
-// call_once build must run exactly once and both threads must see a
-// fully formed plan.
-TEST(SvmInferConcurrency, ConcurrentFirstUseBuildsOnce) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
+// A stream saved before svm-ovo-v2 — svm-ovo-v1 with binary-svm-v2
+// machines, which carry full_rows — loads through the content gather
+// and serves the same bits as loaded and after a re-save as svm-ovo-v2.
+TEST(SvmInferPlan, OldStreamServesTheSameBitsAfterReSave) {
+  std::istringstream old(kSvmV1Stream);
+  const auto loaded = SvmClassifier::load(old);
+  EXPECT_EQ(loaded.inference_plan().total_support_vectors(), 11u);
+  EXPECT_EQ(loaded.inference_plan().unique_support_vectors(), 6u);
+  std::stringstream resaved;
+  loaded.save(resaved);
+  EXPECT_EQ(resaved.str().rfind("svm-ovo-v2\n", 0), 0u);
+  const auto reloaded = SvmClassifier::load(resaved);
+  EXPECT_EQ(reloaded.inference_plan().unique_support_vectors(), 6u);
+
+  Rng rng(12);
+  for (int p = 0; p < 40; ++p) {
+    const std::vector<double> x{rng.normal(0.0, 1.5), rng.normal(0.0, 1.5)};
+    const auto ref = reference_predict(loaded, x, true);
+    const auto proba = loaded.predict_proba(x);
+    const auto pred = loaded.predict_with_probability(x);
+    EXPECT_EQ(pred.label, ref.label);
+    for (std::size_t c = 0; c < proba.size(); ++c) {
+      EXPECT_NEAR(proba[c], ref.proba[c], 1e-10);
+    }
+    EXPECT_EQ(reloaded.predict_proba(x), proba);
+    const auto again = reloaded.predict_with_probability(x);
+    EXPECT_EQ(again.label, pred.label);
+    EXPECT_EQ(again.probability, pred.probability);
+  }
+}
+
+// load builds the model's one plan; a copy shares it and builds none.
+TEST(SvmInferPlan, LoadBuildsExactlyOnePlan) {
   const auto trained = train_blobs(infer_config(Kernel::rbf(0.3), true));
   std::stringstream stream;
   trained.save(stream);
-
-  const Matrix probes = probe_rows(16);
-  // Serial reference from an independently loaded copy.
-  std::stringstream ref_stream(stream.str());
-  const auto reference = SvmClassifier::load(ref_stream);
-  const auto ref_labels = reference.predict_batch(probes);
-  const auto ref_proba = reference.predict_proba(probes.row(0));
-
   auto& builds =
       obs::MetricsRegistry::instance().counter("svm.plan.builds");
   const std::uint64_t builds_before = builds.value();
-
-  const auto fresh = SvmClassifier::load(stream);
-  ASSERT_EQ(fresh.plan_if_built(), nullptr);
-  std::vector<int> labels;
-  std::vector<double> proba;
-  std::thread batch_thread(
-      [&] { labels = fresh.predict_batch(probes); });
-  std::thread proba_thread(
-      [&] { proba = fresh.predict_proba(probes.row(0)); });
-  batch_thread.join();
-  proba_thread.join();
-
+  const auto loaded = SvmClassifier::load(stream);
   EXPECT_EQ(builds.value(), builds_before + 1);
-  ASSERT_NE(fresh.plan_if_built(), nullptr);
-  EXPECT_EQ(labels, ref_labels);
-  ASSERT_EQ(proba.size(), ref_proba.size());
-  for (std::size_t c = 0; c < proba.size(); ++c) {
-    EXPECT_DOUBLE_EQ(proba[c], ref_proba[c]);
-  }
+  const SvmClassifier copy(loaded);
+  (void)copy.predict_batch(probe_rows(9));
+  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(&copy.inference_plan(), &loaded.inference_plan());
 }
 
-TEST(SvmInferPlan, EagerAfterFitLazyAfterLoad) {
-  // Compiled-mode fits build the plan eagerly; legacy-mode fits skip it
-  // (a grid search under the legacy toggle never pays for pools).
-  {
-    ModeGuard mode(SvmPredictMode::kCompiled);
-    const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), false));
-    EXPECT_NE(clf.plan_if_built(), nullptr);
-  }
-  {
-    ModeGuard mode(SvmPredictMode::kLegacy);
-    const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), false));
-    EXPECT_EQ(clf.plan_if_built(), nullptr);
-  }
+// Threads predicting on a loaded model and on its copy — which share
+// one plan — get exactly the answers of a serial run.
+TEST(SvmInferConcurrency, LoadedModelAndCopyServeThreadsLikeSerial) {
+  const auto trained = train_blobs(infer_config(Kernel::rbf(0.3), true));
+  std::stringstream stream;
+  trained.save(stream);
+  const auto loaded = SvmClassifier::load(stream);
+  const SvmClassifier copy(loaded);
+  const Matrix probes = probe_rows(16);
+
+  struct Answers {
+    std::vector<int> labels;
+    std::vector<std::vector<double>> proba;
+  };
+  const auto serve = [&probes](const SvmClassifier& clf) {
+    Answers out;
+    out.labels = clf.predict_batch(probes);
+    for (std::size_t r = 0; r < probes.rows(); ++r) {
+      out.proba.push_back(clf.predict_proba(probes.row(r)));
+    }
+    return out;
+  };
+  const Answers serial = serve(loaded);
+  Answers from_loaded;
+  Answers from_copy;
+  std::thread loaded_thread([&] { from_loaded = serve(loaded); });
+  std::thread copy_thread([&] { from_copy = serve(copy); });
+  loaded_thread.join();
+  copy_thread.join();
+
+  EXPECT_EQ(from_loaded.labels, serial.labels);
+  EXPECT_EQ(from_copy.labels, serial.labels);
+  EXPECT_EQ(from_loaded.proba, serial.proba);
+  EXPECT_EQ(from_copy.proba, serial.proba);
 }
 
 TEST(SvmInferPlan, RejectsUntrainedAndMismatchedProbes) {
-  ModeGuard mode(SvmPredictMode::kCompiled);
   SvmClassifier clf;
   EXPECT_THROW(clf.inference_plan(), InvalidArgument);
   const auto trained = train_blobs(infer_config(Kernel::rbf(0.3), false));

@@ -363,39 +363,27 @@ TEST_F(SvmServiceTest, MetricsCountEveryJobAndEveryQuery) {
 }
 
 // A lone `ingest` is per-job traffic: one classify_ns record and one
-// single-query prediction, but no batch span in the trace ring and no
-// service.ingest_batch_ns sample.  `ingest_batch` of one job records both.
+// single-query prediction, but no service.ingest_batch_ns sample.
+// `ingest_batch` of one job records one.
 TEST_F(SvmServiceTest, LoneIngestRecordsNoBatchSpan) {
   const bool prev = obs::enabled();
   obs::set_enabled(true);
   const auto& model = rbf_platt();
   const auto jobs = jobs_of(2, Mix::kUnidentified);
   auto& registry = obs::MetricsRegistry::instance();
-  auto& ring = obs::TraceRing::instance();
-  const auto batch_spans = [&ring] {
-    std::size_t n = 0;
-    for (const auto& event : ring.recent()) {
-      n += std::string_view(event.name) == "service.ingest_batch" ? 1 : 0;
-    }
-    return n;
-  };
   const auto count_of = [](const obs::MetricsSnapshot& snap, const char* n) {
     const auto* h = snap.histogram(n);
     return h == nullptr ? std::uint64_t{0} : h->count;
   };
   ClassificationService service(model.classifier, 0.5);
-  ring.clear();
   const auto before = registry.snapshot();
   const auto lone = service.ingest(jobs[0]);
   const auto mid = registry.snapshot();
-  const std::size_t lone_spans = batch_spans();
   service.ingest_batch({jobs[1]});
   const auto after = registry.snapshot();
-  const std::size_t batch_of_one_spans = batch_spans();
   obs::set_enabled(prev);
 
   EXPECT_NE(lone.outcome, Outcome::kFailed);
-  EXPECT_EQ(lone_spans, 0u);
   EXPECT_EQ(count_of(mid, "service.ingest_batch_ns") -
                 count_of(before, "service.ingest_batch_ns"),
             0u);
@@ -408,7 +396,6 @@ TEST_F(SvmServiceTest, LoneIngestRecordsNoBatchSpan) {
   EXPECT_EQ(mid.counter("svm.predict.batches") -
                 before.counter("svm.predict.batches"),
             0u);
-  EXPECT_EQ(batch_of_one_spans, 1u);
   EXPECT_EQ(count_of(after, "service.ingest_batch_ns") -
                 count_of(mid, "service.ingest_batch_ns"),
             1u);
