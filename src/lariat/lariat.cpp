@@ -8,10 +8,14 @@ namespace xdmodml::lariat {
 ApplicationTable::ApplicationTable(std::vector<ApplicationEntry> entries)
     : entries_(std::move(entries)) {
   XDMODML_CHECK(!entries_.empty(), "application table requires entries");
-  for (const auto& e : entries_) {
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const auto& e = entries_[i];
     XDMODML_CHECK(!e.name.empty() && !e.category.empty() &&
                       !e.executable_patterns.empty(),
                   "application entries need name, category and patterns");
+    for (const auto& pattern : e.executable_patterns) {
+      patterns_.emplace_back(to_lower(pattern), i);
+    }
   }
 }
 
@@ -92,14 +96,12 @@ Identification ApplicationTable::identify(
     return id;
   }
   const std::string base = to_lower(basename(executable_path));
-  for (const auto& e : entries_) {
-    for (const auto& pattern : e.executable_patterns) {
-      if (starts_with(base, to_lower(pattern))) {
-        id.source = supremm::LabelSource::kIdentified;
-        id.application = e.name;
-        id.category = e.category;
-        return id;
-      }
+  for (const auto& [pattern, entry] : patterns_) {
+    if (starts_with(base, pattern)) {
+      id.source = supremm::LabelSource::kIdentified;
+      id.application = entries_[entry].name;
+      id.category = entries_[entry].category;
+      return id;
     }
   }
   id.source = supremm::LabelSource::kUncategorized;

@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "supremm/job_summary.hpp"
@@ -67,6 +68,9 @@ class ApplicationTable {
 
  private:
   std::vector<ApplicationEntry> entries_;
+  /// Every pattern lower-cased once, with its entry's index, in table
+  /// order: identify() lowers only the basename.
+  std::vector<std::pair<std::string, std::size_t>> patterns_;
 };
 
 /// Typical uncategorizable executable names (the paper's examples).

@@ -715,15 +715,17 @@ TreeEngine TreeEngine::load(std::istream& in) {
   // of sizing an allocation.
   for (std::size_t idx = 0; idx < nodes; ++idx) {
     auto& node = engine.nodes_.emplace_back();
-    node.feature = static_cast<int>(reader.read_int("f"));
+    // Range-checked before narrowing: 2^32 + k would cast to feature k.
+    const auto feature = reader.read_int("f");
+    XDMODML_CHECK(feature >= -1 && feature < static_cast<std::int64_t>(
+                                                 engine.num_features_),
+                  "corrupt tree feature index");
+    node.feature = static_cast<int>(feature);
     node.threshold = reader.read_double("t");
     node.left = static_cast<std::size_t>(reader.read_int("l"));
     node.right = static_cast<std::size_t>(reader.read_int("r"));
     node.value = reader.read_double("v");
     node.class_probs = reader.read_vector("p");
-    XDMODML_CHECK(node.feature >= -1 &&
-                      node.feature < static_cast<int>(engine.num_features_),
-                  "corrupt tree feature index");
     if (node.feature >= 0) {
       // The builder emits children after their parent, so every edge
       // points strictly forward.  Anything else — a self-loop, a back

@@ -81,8 +81,8 @@ NaiveBayesClassifier NaiveBayesClassifier::load(std::istream& in) {
   io::TokenReader reader(in);
   reader.expect("naive-bayes-v1");
   NaiveBayesClassifier nb;
-  nb.num_classes_ = static_cast<int>(reader.read_int("classes"));
-  nb.num_features_ = static_cast<std::size_t>(reader.read_int("features"));
+  nb.num_classes_ = reader.read_count("classes", 1);
+  nb.num_features_ = static_cast<std::size_t>(reader.read_count("features", 1));
   nb.log_priors_ = reader.read_vector("log_priors");
   for (auto& p : nb.log_priors_) {
     if (p <= -1e308) p = -std::numeric_limits<double>::infinity();

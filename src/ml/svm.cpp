@@ -681,6 +681,19 @@ std::vector<double> plan_decisions(const SvmInferencePlan& plan,
   return decisions;
 }
 
+// Every read of a decision value on the way to a prediction goes through
+// here.  A kernel that overflowed (the RBF expansion reading inf - inf, a
+// polynomial's power reaching inf) makes the value NaN or infinite, and
+// std::min/std::max and the coupling would turn that into a plausible
+// uniform answer; the query fails instead, naming the machine.
+double finite_decision(double decision, std::size_t a, std::size_t b) {
+  if (!std::isfinite(decision)) {
+    throw ComputeError("non-finite decision value of machine (" +
+                       std::to_string(a) + ", " + std::to_string(b) + ")");
+  }
+  return decision;
+}
+
 // predict_proba from decision values, machines in lexicographic (a, b)
 // order: coupled probabilities with Platt outputs — each pairwise
 // probability clipped away from {0, 1} as LIBSVM does to keep the
@@ -697,7 +710,8 @@ std::vector<double> proba_from(const SvmInferencePlan& plan, int classes,
         const auto& slice = plan.machine(idx);
         XDMODML_CHECK(slice.has_platt,
                       "probability requested without Platt fit");
-        double r = slice.sigmoid.probability(decision[idx]);
+        double r =
+            slice.sigmoid.probability(finite_decision(decision[idx], a, b));
         r = std::min(std::max(r, 1e-7), 1.0 - 1e-7);
         pairwise(a, b) = r;
         pairwise(b, a) = 1.0 - r;
@@ -708,7 +722,7 @@ std::vector<double> proba_from(const SvmInferencePlan& plan, int classes,
   std::vector<double> votes(k, 0.0);
   for (std::size_t a = 0; a < k; ++a) {
     for (std::size_t b = a + 1; b < k; ++b, ++idx) {
-      ++votes[decision[idx] > 0.0 ? a : b];
+      ++votes[finite_decision(decision[idx], a, b) > 0.0 ? a : b];
     }
   }
   const double total = static_cast<double>(idx);
@@ -725,7 +739,7 @@ int vote_label(int classes, std::span<const double> decision) {
   std::size_t idx = 0;
   for (std::size_t a = 0; a < k; ++a) {
     for (std::size_t b = a + 1; b < k; ++b, ++idx) {
-      ++votes[decision[idx] > 0.0 ? a : b];
+      ++votes[finite_decision(decision[idx], a, b) > 0.0 ? a : b];
     }
   }
   return static_cast<int>(std::max_element(votes.begin(), votes.end()) -
@@ -759,13 +773,13 @@ std::vector<int> SvmClassifier::predict_shared(
       for (int a = 0; a < num_classes_; ++a) {
         for (int b = a + 1; b < num_classes_; ++b) {
           const auto& machine = machines_[machine_index(a, b)];
+          const auto ua = static_cast<std::size_t>(a);
+          const auto ub = static_cast<std::size_t>(b);
           double p = machine.sigmoid().probability(
-              machine.decision_value_cached(cache, r));
+              finite_decision(machine.decision_value_cached(cache, r), ua, ub));
           p = std::min(std::max(p, 1e-7), 1.0 - 1e-7);
-          pairwise(static_cast<std::size_t>(a),
-                   static_cast<std::size_t>(b)) = p;
-          pairwise(static_cast<std::size_t>(b),
-                   static_cast<std::size_t>(a)) = 1.0 - p;
+          pairwise(ua, ub) = p;
+          pairwise(ub, ua) = 1.0 - p;
         }
       }
       const auto proba = couple_pairwise_probabilities(pairwise);
@@ -776,8 +790,12 @@ std::vector<int> SvmClassifier::predict_shared(
       for (int a = 0; a < num_classes_; ++a) {
         for (int b = a + 1; b < num_classes_; ++b) {
           const auto& machine = machines_[machine_index(a, b)];
-          ++votes[static_cast<std::size_t>(
-              machine.decision_value_cached(cache, r) > 0.0 ? a : b)];
+          const auto ua = static_cast<std::size_t>(a);
+          const auto ub = static_cast<std::size_t>(b);
+          ++votes[finite_decision(machine.decision_value_cached(cache, r), ua,
+                                  ub) > 0.0
+                      ? ua
+                      : ub];
         }
       }
       labels.push_back(static_cast<int>(

@@ -1,6 +1,7 @@
 #include "util/csv.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -50,12 +51,6 @@ void CsvWriter::write_row(const std::vector<double>& fields) {
   write_row(text);
 }
 
-namespace {
-
-// Cuts one logical record into field views.  A record without a quote or
-// CR is cut in place.  Any other record is unescaped into `storage`:
-// unescaping never lengthens the text, so reserving the record's size up
-// front keeps every view taken into `storage` valid.
 void split_record(std::string_view record, std::string& storage,
                   std::vector<std::string_view>& fields) {
   fields.clear();
@@ -70,6 +65,8 @@ void split_record(std::string_view record, std::string& storage,
     fields.push_back(record.substr(start));
     return;
   }
+  // Unescaping never lengthens the text, so reserving the record's size
+  // up front keeps every view taken into `storage` valid.
   storage.clear();
   storage.reserve(record.size());
   std::size_t field_start = 0;
@@ -103,6 +100,18 @@ void split_record(std::string_view record, std::string& storage,
   close_field();
 }
 
+void check_record_width(std::size_t fields, std::size_t width,
+                        std::size_t row, std::size_t line) {
+  XDMODML_CHECK(fields == width,
+                "CSV data row " + std::to_string(row) + " (line " +
+                    std::to_string(line) + ") has " + std::to_string(fields) +
+                    " fields; the header has " + std::to_string(width));
+}
+
+namespace {
+
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
 // An odd number of quote characters flips whether a quoted field is open
 // across the line break (RFC 4180 escapes quotes by doubling them, which
 // keeps a complete record's count even).
@@ -120,11 +129,22 @@ std::vector<std::string> parse_csv_line(const std::string& line) {
   return {fields.begin(), fields.end()};
 }
 
-bool CsvScanner::next() {
-  if (ended_) return false;
-  bool open = false;  // inside a quoted field that spans a line break
-  bool complete = false;
-  while (!complete && std::getline(in_, line_)) {
+bool CsvRecordWalk::next(CsvRecord& record) {
+  while (!done_) {
+    const char* base = buf_.get();
+    const std::size_t from = std::max(pos_, scanned_);
+    const void* nl =
+        from < end_ ? std::memchr(base + from, '\n', end_ - from) : nullptr;
+    std::size_t line_end = end_;  // the last line may lack its line end
+    if (nl != nullptr) {
+      line_end = static_cast<std::size_t>(static_cast<const char*>(nl) - base);
+    } else if (!eof_) {
+      scanned_ = end_;
+      return false;  // the line goes on in the next block
+    } else if (pos_ == end_) {
+      done_ = true;
+      break;
+    }
     ++line_no_;
     // Fault sites for the ingest pipeline: `csv.parse.read` models an
     // I/O error mid-file (surfaced with the exact position), while
@@ -137,52 +157,90 @@ bool CsvScanner::next() {
       throw ComputeError("CSV read failed at line " +
                          std::to_string(line_no_) + ": " + e.what());
     }
-    if (fp::triggered("csv.parse.truncate")) break;
-    const bool flips = odd_quotes(line_);
-    if (open) {
-      // Still inside a quoted field: the writer emitted an embedded
-      // newline, which getline consumed — restore it and keep reading.
-      record_ += '\n';
-      record_ += line_;
-      open = !flips;
-      complete = flips;
-      if (complete) split_record(record_, unescaped_, fields_);
-    } else if (!line_.empty()) {
+    if (fp::triggered("csv.parse.truncate")) {
+      done_ = true;
+      break;
+    }
+    const std::size_t line_start = pos_;
+    const std::string_view line(base + line_start, line_end - line_start);
+    pos_ = nl != nullptr ? line_end + 1 : end_;
+    const bool flips = odd_quotes(line);
+    if (open_) {
+      // Still inside a quoted field: the record runs on through this
+      // line, its line breaks kept as the field's embedded newlines.
+      open_ = !flips;
+      if (flips) {
+        record = {std::string_view(base + record_start_,
+                                   line_end - record_start_),
+                  record_line_};
+        return true;
+      }
+    } else if (!line.empty()) {
       record_line_ = line_no_;
       if (flips) {
-        record_ = line_;
-        open = true;
+        open_ = true;
+        record_start_ = line_start;
       } else {
-        split_record(line_, unescaped_, fields_);
-        complete = true;
+        record = {line, line_no_};
+        return true;
       }
     }
   }
-  XDMODML_CHECK(!open,
+  XDMODML_CHECK(!open_,
                 "CSV input ends inside an unterminated quoted field "
                 "starting at line " +
                     std::to_string(record_line_));
-  if (!complete) {
-    ended_ = true;
-    fields_.clear();
-    return false;
+  return false;
+}
+
+bool CsvRecordWalk::refill() {
+  if (done_) return false;
+  // next() stopped at the end of the bytes held, so the buffer is full:
+  // keep the unfinished line, or the whole record while a quoted field
+  // is open, and read behind it.
+  const std::size_t keep = open_ ? record_start_ : pos_;
+  const std::size_t tail = end_ - keep;
+  if (cap_ == 0) {
+    buf_ = std::make_unique_for_overwrite<char[]>(kBlockBytes);
+    cap_ = kBlockBytes;
+  } else if (tail == cap_) {
+    // One record fills the buffer: grow it.
+    auto grown = std::make_unique_for_overwrite<char[]>(2 * cap_);
+    std::memcpy(grown.get(), buf_.get(), tail);
+    buf_ = std::move(grown);
+    cap_ *= 2;
+  } else {
+    std::memmove(buf_.get(), buf_.get() + keep, tail);
   }
+  end_ = tail;
+  pos_ -= keep;
+  scanned_ = std::max(scanned_, keep) - keep;
+  record_start_ -= open_ ? keep : 0;
+  const std::size_t want = cap_ - end_;
+  in_.read(buf_.get() + end_, static_cast<std::streamsize>(want));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  end_ += got;
+  eof_ = got < want;
+  return true;
+}
+
+bool CsvScanner::next() {
+  CsvRecord record;
+  while (!walk_.next(record)) {
+    if (!walk_.refill()) {
+      fields_.clear();
+      return false;
+    }
+  }
+  record_line_ = record.line;
+  split_record(record.text, unescaped_, fields_);
   if (!have_header_) {
     have_header_ = true;
     width_ = fields_.size();
     return true;
   }
   ++rows_;
-  // The row number counts logical records, the line number physical
-  // lines: once any earlier field contained a quoted newline the two
-  // diverge, and only the *line* locates the bad record in an editor.
-  // record_line_ is the record's first physical line, which is also
-  // correct for multi-line records.
-  XDMODML_CHECK(fields_.size() == width_,
-                "CSV data row " + std::to_string(rows_) + " (line " +
-                    std::to_string(record_line_) + ") has " +
-                    std::to_string(fields_.size()) +
-                    " fields; the header has " + std::to_string(width_));
+  check_record_width(fields_.size(), width_, rows_, record_line_);
   return true;
 }
 

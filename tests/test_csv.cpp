@@ -188,6 +188,55 @@ TEST(CsvParse, WriterParserRoundTripWithNewlines) {
   EXPECT_EQ(doc.rows[2][2], ",");
 }
 
+// The walk reads 1 MiB blocks.  A quoted multi-line record placed at
+// every offset around the first block edge, so that the edge falls on
+// each of its bytes (a line end, a doubled quote, a CR), reads back whole
+// with the right line numbers.
+TEST(CsvParse, RecordsStraddlingTheBlockEdgeReadBack) {
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  const std::string straddler = "1,\"p \"\"q\"\",\r\nr\n\"\n";
+  for (std::size_t shift = 0; shift <= straddler.size() + 1; ++shift) {
+    SCOPED_TRACE("shift " + std::to_string(shift));
+    std::string text = "id,note\n0,";
+    text.append(kBlock - shift - text.size() - 1, 'x');
+    text += '\n';
+    text += straddler;
+    text += "2,3,4\n";  // ragged: data row 3 starts on line 6
+    std::istringstream in(text);
+    CsvScanner scanner(in);
+    ASSERT_TRUE(scanner.next());
+    ASSERT_TRUE(scanner.next());
+    EXPECT_EQ(scanner.fields()[1].size(), kBlock - shift - 11);
+    ASSERT_TRUE(scanner.next());
+    EXPECT_EQ(scanner.line(), 3u);
+    EXPECT_EQ(scanner.fields()[1], "p \"q\",\r\nr\n");
+    try {
+      scanner.next();
+      FAIL() << "expected the ragged-row error";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 3 (line 6)"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CsvParse, RecordLongerThanABlockGrowsTheBuffer) {
+  // 3 MiB in one quoted field that spans many lines, then a plain row.
+  std::string note;
+  while (note.size() < (std::size_t{3} << 20)) note += "line, \"q\"\n";
+  std::ostringstream os;
+  CsvWriter w(os);
+  w.write_row(std::vector<std::string>{"id", "note"});
+  w.write_row(std::vector<std::string>{"1", note});
+  w.write_row(std::vector<std::string>{"2", "after"});
+  std::istringstream in(os.str());
+  const auto doc = parse_csv(in);
+  ASSERT_EQ(doc.rows.size(), 2u);
+  EXPECT_EQ(doc.rows[0][1], note);
+  EXPECT_EQ(doc.rows[1][1], "after");
+}
+
 TEST(CsvParse, RoundTrip) {
   std::ostringstream os;
   CsvWriter w(os);

@@ -45,6 +45,16 @@ TEST(ApplicationTable, MatchIsCaseInsensitiveOnBasename) {
   EXPECT_EQ(table.identify("/opt/apps/NAMD2").application, "NAMD");
 }
 
+TEST(ApplicationTable, UpperCasePatternInACustomTableMatches) {
+  // The table lowers its patterns, not only the basename it is asked
+  // about; the first match in table order still wins.
+  const ApplicationTable table({{"VASP", "QC,ES", {"VASP"}},
+                                {"VASP-GAMMA", "QC,ES", {"Vasp_Gam"}}});
+  EXPECT_EQ(table.identify("/x/vasp_std").application, "VASP");
+  EXPECT_EQ(table.identify("/x/VASP_GAM").application, "VASP");
+  EXPECT_EQ(table.identify("/x/vas").source, LabelSource::kUncategorized);
+}
+
 TEST(ApplicationTable, PrefixMatchesVariants) {
   const auto table = ApplicationTable::standard();
   EXPECT_EQ(table.identify("/x/lmp_stampede").application, "LAMMPS");

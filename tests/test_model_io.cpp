@@ -437,17 +437,35 @@ TEST(ModelIo, ForestCountsAreRangeChecked) {
   const auto forest = saved(rf);
   // 2^62 trees or nodes threw std::length_error from sizing the vectors
   // up front; classes 2^32 + 3 narrowed to 3 and loaded; features -1
-  // loaded and predicted.
+  // loaded and predicted; the root's split feature 2^32 + 1 narrowed to
+  // feature 1 and loaded.
   const std::pair<const char*, const char*> edits[] = {
       {"trees", "4611686018427387904"},
       {"nodes", "4611686018427387904"},
       {"classes", "4294967299"},
-      {"features", "-1"}};
+      {"features", "-1"},
+      {"f", "4294967297"}};
   for (const auto& [tag, value] : edits) {
     SCOPED_TRACE(tag);
     std::istringstream in(with_value(forest, tag, value));
     EXPECT_THROW(ml::RandomForestClassifier::load(in), InvalidArgument);
   }
+}
+
+TEST(ModelIo, NaiveBayesCountsAreRangeChecked) {
+  const auto ds = blob_dataset(30);
+  ml::NaiveBayesClassifier nb;
+  nb.fit(ds.X, ds.labels, 4);
+  const auto stream = saved(nb);
+  // classes 2^32 + 4 narrowed to the model's own 4, matched its priors
+  // and loaded.
+  for (const char* classes : {"4294967300", "0", "-1"}) {
+    SCOPED_TRACE(classes);
+    std::istringstream in(with_value(stream, "classes", classes));
+    EXPECT_THROW(ml::NaiveBayesClassifier::load(in), InvalidArgument);
+  }
+  std::istringstream in(with_value(stream, "classes", "4"));
+  EXPECT_NO_THROW(ml::NaiveBayesClassifier::load(in));
 }
 
 TEST(ModelIo, CorruptStreamsRejected) {

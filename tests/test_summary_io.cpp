@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -10,6 +11,8 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/failpoint.hpp"
+#include "util/metrics.hpp"
 #include "workload/dataset_helpers.hpp"
 #include "workload/generator.hpp"
 
@@ -258,6 +261,285 @@ TEST(SummaryIo, EmptyDocumentRoundTrips) {
   write_jobs_csv(out, {});
   std::istringstream in(out.str());
   EXPECT_TRUE(read_jobs_csv(in).empty());
+}
+
+// The reader walks each 1 MiB block's records serially and parses them
+// in chunks of 64 on the pool, so these exports are large enough to
+// leave the inline path: every 37th row's executable path holds a
+// comma, a quote and two newlines, so quoted multi-line records fall on
+// chunk edges and 1 MiB block edges (6 000 rows make about 5.8 MB).
+constexpr std::size_t kWrapEvery = 37;
+
+bool wraps(std::size_t row) { return row % kWrapEvery == 0; }
+
+std::vector<JobSummary> export_jobs(std::size_t rows) {
+  static const auto pool = [] {
+    auto gen = workload::WorkloadGenerator::standard({}, 93);
+    auto jobs = workload::summaries_of(gen.generate_native(60));
+    for (auto more : {workload::summaries_of(gen.generate_uncategorized(20)),
+                      workload::summaries_of(gen.generate_na(20))}) {
+      jobs.insert(jobs.end(), more.begin(), more.end());
+    }
+    return jobs;
+  }();
+  std::vector<JobSummary> jobs;
+  jobs.reserve(rows);
+  for (std::size_t row = 1; row <= rows; ++row) {
+    JobSummary job = pool[row % pool.size()];
+    job.job_id = 7'000'000 + row;
+    if (wraps(row)) {
+      job.executable_path = "/work/run " + std::to_string(row) +
+                            ",\"tag\"\nsecond line\nthird";
+    }
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+std::string csv_of(const std::vector<JobSummary>& jobs) {
+  std::ostringstream out;
+  write_jobs_csv(out, jobs);
+  return std::move(out).str();
+}
+
+std::vector<JobSummary> read_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_jobs_csv(in);
+}
+
+// The physical line data row `row` of an export_jobs document starts on.
+std::size_t line_of(std::size_t row) {
+  return row + 1 + 2 * ((row - 1) / kWrapEvery);
+}
+
+// Total physical lines of an export_jobs document of `rows` rows.
+std::size_t lines_of(std::size_t rows) {
+  return 1 + rows + 2 * (rows / kWrapEvery);
+}
+
+// The data row whose record holds byte `offset` of an export_jobs text.
+std::size_t row_at(const std::string& text, std::size_t offset) {
+  const auto start = text.rfind("\n700", offset);  // ids 7000001 on
+  return std::stoul(text.substr(start + 1, 7)) - 7'000'000;
+}
+
+TEST(SummaryIoBlocks, RoundTripIsByteIdenticalAcrossChunksAndBlocks) {
+  for (const std::size_t rows : {0u, 1u, 63u, 64u, 65u, 1000u, 6000u}) {
+    SCOPED_TRACE(std::to_string(rows) + " rows");
+    auto jobs = export_jobs(rows);
+    if (rows == 6000) {
+      // Also wrap the record that holds the first 1 MiB block edge, so a
+      // quoted multi-line record is carried into the next block.
+      auto& job = jobs[row_at(csv_of(jobs), std::size_t{1} << 20) - 1];
+      job.executable_path = "/edge,\"x\"\n" + job.executable_path;
+    }
+    const auto text = csv_of(jobs);
+    const auto loaded = read_text(text);
+    ASSERT_EQ(loaded.size(), rows);
+    EXPECT_EQ(csv_of(loaded), text);
+    for (std::size_t row = kWrapEvery; row <= rows; row += kWrapEvery) {
+      EXPECT_EQ(loaded[row - 1].executable_path, jobs[row - 1].executable_path);
+    }
+  }
+}
+
+// Replaces data row `row`'s job_id (7000000 + row) with `bad`.
+void corrupt_job_id(std::string& text, std::size_t row,
+                    const std::string& bad) {
+  const std::string id = "\n" + std::to_string(7'000'000 + row) + ",";
+  const auto at = text.find(id);
+  ASSERT_NE(at, std::string::npos) << row;
+  text.replace(at + 1, id.size() - 2, bad);
+}
+
+// The error names `row`, the physical line it starts on and its field.
+void expect_row_named(const std::string& text, std::size_t row,
+                      const std::string& field) {
+  try {
+    read_text(text);
+    FAIL() << "expected InvalidArgument naming row " << row;
+  } catch (const InvalidArgument& e) {
+    const std::string want = "job CSV data row " + std::to_string(row) +
+                             " (line " + std::to_string(line_of(row)) +
+                             ", job_id field '" + field + "')";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SummaryIoBlocks, FirstFaultInDocumentOrderWins) {
+  // Rows 66 and 71 share a chunk, rows 40 and 700 do not, and rows
+  // 3 001 and 5 001 sit in different 1 MiB blocks.
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {66, 71}, {40, 700}, {3001, 5001}};
+  const auto text = csv_of(export_jobs(6000));
+  for (const auto& [first, second] : pairs) {
+    SCOPED_TRACE("rows " + std::to_string(first) + " and " +
+                 std::to_string(second));
+    auto later_only = text;
+    corrupt_job_id(later_only, second, "bad-later");
+    expect_row_named(later_only, second, "bad-later");
+    auto both = later_only;
+    corrupt_job_id(both, first, "bad-first");
+    expect_row_named(both, first, "bad-first");
+  }
+}
+
+// The draw on which a fresh (spec, seed) arming of `site` first fires:
+// the replay the reader's draws must follow.
+std::size_t first_firing_draw(const std::string& spec, const char* site,
+                              std::uint64_t seed, std::size_t limit) {
+  fp::reset();
+  fp::arm_from_spec(spec, seed);
+  std::size_t draws = 0;
+  while (draws < limit) {
+    ++draws;
+    try {
+      XDMODML_FAILPOINT(site);
+    } catch (const fp::FailpointError&) {
+      break;
+    }
+  }
+  fp::reset();
+  return draws;
+}
+
+TEST(SummaryIoBlocks, RowFaultReplaysBySeed) {
+  constexpr std::size_t kRows = 1000;
+  const auto text = csv_of(export_jobs(kRows));
+  const std::string spec = "summary_io.read.row=one_in(200):error(3)";
+  int fired = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::size_t row =
+        first_firing_draw(spec, "summary_io.read.row", seed, kRows + 1);
+    fp::arm_from_spec(spec, seed);
+    try {
+      const auto jobs = read_text(text);
+      EXPECT_GT(row, kRows);
+      EXPECT_EQ(jobs.size(), kRows);
+    } catch (const InvalidArgument& e) {
+      ++fired;
+      const std::string want = "job CSV data row " + std::to_string(row) +
+                               " (line " + std::to_string(line_of(row)) +
+                               ", job_id field '" +
+                               std::to_string(7'000'000 + row) +
+                               "'): failpoint 'summary_io.read.row'";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fp::site_stats("summary_io.read.row").evaluations,
+              std::min(row, kRows));
+    fp::reset();
+  }
+  EXPECT_GT(fired, 0);
+}
+
+TEST(SummaryIoBlocks, ReadFaultReplaysBySeed) {
+  constexpr std::size_t kRows = 1000;
+  const auto text = csv_of(export_jobs(kRows));
+  const std::size_t lines = lines_of(kRows);
+  const std::string spec = "csv.parse.read=one_in(500):error(2)";
+  int fired = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::size_t line =
+        first_firing_draw(spec, "csv.parse.read", seed, lines + 1);
+    fp::arm_from_spec(spec, seed);
+    try {
+      const auto jobs = read_text(text);
+      EXPECT_GT(line, lines);
+      EXPECT_EQ(jobs.size(), kRows);
+    } catch (const ComputeError& e) {
+      ++fired;
+      EXPECT_NE(std::string(e.what()).find(
+                    "CSV read failed at line " + std::to_string(line) + ":"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(fp::site_stats("csv.parse.read").evaluations,
+              std::min(line, lines));
+    fp::reset();
+  }
+  EXPECT_GT(fired, 0);
+}
+
+TEST(SummaryIoBlocks, RaggedRowBeforeAReadFaultWins) {
+  // Row 100 gains a column; a read fault armed on a later line of the
+  // same block must not be the error raised.
+  constexpr std::size_t kRows = 1000;
+  auto text = csv_of(export_jobs(kRows));
+  corrupt_job_id(text, 100, "7000100,extra");
+  const std::size_t lines = lines_of(kRows);
+  const std::string spec = "csv.parse.read=one_in(500):error(2)";
+  std::uint64_t seed = 0;
+  while (true) {
+    const auto line = first_firing_draw(spec, "csv.parse.read", seed, lines);
+    if (line > line_of(100) && line < lines) break;
+    ++seed;
+  }
+  fp::arm_from_spec(spec, seed);
+  try {
+    read_text(text);
+    ADD_FAILURE() << "expected the ragged-row error";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "CSV data row 100 (line " + std::to_string(line_of(100)) +
+                  ") has 60 fields; the header has 59"),
+              std::string::npos)
+        << e.what();
+  }
+  fp::reset();
+}
+
+TEST(SummaryIoBlocks, RowFaultOnARaggedRowRaisesTheRaggedRow) {
+  // Within a record the width check comes before the row draw.
+  constexpr std::size_t kRows = 1000;
+  const std::string spec = "summary_io.read.row=one_in(200):error(3)";
+  std::uint64_t seed = 0;
+  std::size_t row = 0;
+  while ((row = first_firing_draw(spec, "summary_io.read.row", seed,
+                                  kRows)) >= kRows) {
+    ++seed;
+  }
+  auto text = csv_of(export_jobs(kRows));
+  corrupt_job_id(text, row, std::to_string(7'000'000 + row) + ",extra");
+  fp::arm_from_spec(spec, seed);
+  try {
+    read_text(text);
+    ADD_FAILURE() << "expected the ragged-row error";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "CSV data row " + std::to_string(row) + " (line " +
+                  std::to_string(line_of(row)) + ") has 60 fields"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fp::site_stats("summary_io.read.row").triggers, 1u);
+  fp::reset();
+}
+
+TEST(SummaryIoBlocks, PoolFaultReparsesInlineAndCountsItsOwnRetry) {
+  const auto jobs = export_jobs(1000);
+  const auto text = csv_of(jobs);
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto before = registry.snapshot();
+  fp::reset();
+  fp::arm("thread_pool.chunk", fp::Policy::parse("error(3)"));
+  const auto loaded = read_text(text);
+  const auto triggers = fp::site_stats("thread_pool.chunk").triggers;
+  fp::reset();
+  const auto after = registry.snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_GT(triggers, 0u);
+  EXPECT_EQ(csv_of(loaded), text);
+  EXPECT_GE(delta("retry.summary_io.parse_serial"), 1u);
+  EXPECT_EQ(delta("fail.summary_io.parse_batch"),
+            delta("retry.summary_io.parse_serial"));
+  EXPECT_EQ(delta("fail.service.batch"), 0u);
+  EXPECT_EQ(delta("retry.service.batch_serial"), 0u);
 }
 
 }  // namespace

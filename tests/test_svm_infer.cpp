@@ -549,6 +549,34 @@ TEST(SvmInferConcurrency, LoadedModelAndCopyServeThreadsLikeSerial) {
   EXPECT_EQ(from_copy.proba, serial.proba);
 }
 
+// A polynomial model whose gamma is edited to 1e300 loads, but its
+// kernel values overflow to inf, so every decision value is inf or NaN.
+// It served label 0 at p = 1/3 for every row; every prediction, single
+// or batched, with Platt outputs or votes, must throw instead.
+TEST(SvmInferPlan, NonFiniteDecisionValuesThrow) {
+  const auto probes = probe_rows(20);
+  for (const bool probability : {true, false}) {
+    SCOPED_TRACE(probability ? "platt" : "votes");
+    const auto clf = train_blobs(
+        infer_config(Kernel::polynomial(3.0, 0.5, 1.0), probability));
+    std::stringstream saved;
+    clf.save(saved);
+    std::string text = saved.str();
+    const auto at = text.find("\ngamma ") + 7;
+    text.replace(at, text.find('\n', at) - at, "1e300");
+    std::istringstream in(text);
+    const auto edited = SvmClassifier::load(in);
+    EXPECT_THROW(edited.predict(probes.row(0)), ComputeError);
+    EXPECT_THROW(edited.predict_with_probability(probes.row(0)),
+                 ComputeError);
+    EXPECT_THROW(edited.predict_proba(probes.row(0)), ComputeError);
+    EXPECT_THROW(edited.predict_batch(probes), ComputeError);
+    EXPECT_THROW(edited.predict_batch_with_probability(probes),
+                 ComputeError);
+    EXPECT_THROW(edited.predict_proba_batch(probes), ComputeError);
+  }
+}
+
 TEST(SvmInferPlan, RejectsUntrainedAndMismatchedProbes) {
   SvmClassifier clf;
   EXPECT_THROW(clf.inference_plan(), InvalidArgument);

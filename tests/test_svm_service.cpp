@@ -249,6 +249,53 @@ TEST_F(SvmServiceTest, NonFiniteFeatureInsideABatchLeavesTheRestIdentical) {
   }
 }
 
+// A finite but extreme mean (1.7e308) passes the CSV grammar and the
+// finite-feature check, then overflows in the kernel row (the RBF
+// expansion ||x||^2 + ||s||^2 - 2 x.s reads inf - inf), so the decision
+// values are NaN.  std::min/std::max passed the NaN on and the coupling
+// stopped at its uniform start: label 0 at p = 1/k, stored as
+// unresolved with no error.  The prediction must throw instead, and the
+// service fail that job alone.
+TEST_F(SvmServiceTest, NonFiniteDecisionValueFailsTheJobAlone) {
+  const auto jobs = jobs_of(500, Mix::kMixed);
+  const std::size_t poisoned = 251;  // odd index: an unidentified job
+  for (const auto& model : *models_) {
+    ClassificationService golden_service(model.classifier, 0.5);
+    const auto golden = golden_service.ingest_batch(jobs);
+    for (const auto metric :
+         {supremm::MetricId::kCpuUser, supremm::MetricId::kCpuSystem,
+          supremm::MetricId::kCpuIdle}) {
+      const std::string where =
+          model.name + " metric " + std::to_string(static_cast<int>(metric));
+      JobSummary extreme = jobs[poisoned];
+      extreme.set_mean(metric, 1.7e308);
+      EXPECT_THROW(model.classifier->predict(extreme), ComputeError) << where;
+
+      ClassificationService alone(model.classifier, 0.5);
+      const auto lone = alone.ingest(extreme);
+      EXPECT_EQ(lone.outcome, Outcome::kFailed) << where;
+      EXPECT_NE(lone.error.find("decision value"), std::string::npos)
+          << where << ": " << lone.error;
+
+      auto batch = jobs;
+      batch[poisoned] = extreme;
+      ClassificationService service(model.classifier, 0.5);
+      const auto results = service.ingest_batch(std::move(batch));
+      ASSERT_EQ(results.size(), jobs.size());
+      EXPECT_EQ(results[poisoned].outcome, Outcome::kFailed) << where;
+      EXPECT_EQ(results[poisoned].error, lone.error) << where;
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i != poisoned) {
+          expect_same(results[i], golden[i],
+                      where + " job " + std::to_string(i));
+        }
+      }
+      EXPECT_EQ(service.stats().failed, 1u) << where;
+      EXPECT_EQ(service.warehouse()->dead_letters().size(), 1u) << where;
+    }
+  }
+}
+
 // The deadline covers a job's own gate plus the whole batched prediction
 // it rode in.  A 100 ms stall injected into the pool chunk that runs the
 // prediction therefore fails every classified job of the batch against a
