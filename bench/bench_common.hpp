@@ -12,11 +12,14 @@
 // multiplier) for larger runs.
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,9 +28,14 @@
 #include "ml/metrics.hpp"
 #include "supremm/dataset_builder.hpp"
 #include "util/metrics.hpp"
+#include "util/simd.hpp"
 #include "util/table.hpp"
 #include "workload/dataset_helpers.hpp"
 #include "workload/generator.hpp"
+
+#ifndef XDMODML_BUILD_TYPE
+#define XDMODML_BUILD_TYPE "unknown"
+#endif
 
 namespace xdmodml::bench {
 
@@ -67,16 +75,63 @@ TimedRuns time_median_ms(Fn&& fn, std::size_t repeats = 5,
   return {median, repeats};
 }
 
+/// CPUs this process may run on (its affinity mask), or -1.
+inline int affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return -1;
+  return CPU_COUNT(&set);
+}
+
+/// HEAD of the source tree the bench was built from, read with git at
+/// run time, with "-dirty" appended when tracked files differ from it
+/// (the numbers then belong to uncommitted code); "none" outside a git
+/// work tree of its own.
+inline std::string source_commit() {
+#ifdef XDMODML_SOURCE_DIR
+  const std::string dir = XDMODML_SOURCE_DIR;
+  std::error_code ec;
+  if (dir.find('\'') != std::string::npos ||
+      !std::filesystem::exists(dir + "/.git", ec)) {
+    return "none";
+  }
+  // First line: the commit; any further line: a modified tracked file.
+  const std::string git = "git -C '" + dir + "' ";
+  const std::string cmd = git + "rev-parse HEAD 2>/dev/null && " + git +
+                          "status --porcelain --untracked-files=no 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return "none";
+  char line[512] = {};
+  std::string commit = std::fgets(line, sizeof(line), pipe) ? line : "";
+  bool dirty = false;
+  while (std::fgets(line, sizeof(line), pipe) != nullptr) dirty = true;
+  pclose(pipe);
+  commit.erase(commit.find_last_not_of(" \t\r\n") + 1);
+  if (commit.size() != 40 ||
+      commit.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    return "none";
+  }
+  return dirty ? commit + "-dirty" : commit;
+#else
+  return "none";
+#endif
+}
+
 /// Machine-readable timing emitter.  Benches call `record()` for each
 /// measured operation; when a path was supplied via `--json=<path>` (any
 /// argv position) or the XDMODML_BENCH_JSON environment variable, the
 /// collected records are written on destruction (or an explicit
 /// `write()`) as a JSON array of
 ///   {"bench": ..., "op": ..., "wall_ms": ..., "n_jobs": ...,
-///    "threads": ..., "repeats": ...}
+///    "threads": ..., "repeats": ..., "nproc": ..., "isa": ...,
+///    "compiler": ..., "build_type": ..., "commit": ...}
 /// so the perf trajectory of every PR can be recorded and diffed.
 /// `wall_ms` is the median over `repeats` runs when the bench used
-/// `time_median_ms`; `repeats` is 1 for legacy single-shot timings.
+/// `time_median_ms`; `repeats` is 1 for legacy single-shot timings.  The
+/// last five fields stamp the host as pipebench does: CPUs in the
+/// affinity mask, the SIMD ISA active when the row was recorded, the
+/// compiler, the build type and the source tree's commit
+/// (`source_commit`).
 class BenchJsonRecorder {
  public:
   static BenchJsonRecorder& instance() {
@@ -122,8 +177,9 @@ class BenchJsonRecorder {
     if (metrics_) {
       snapshot = xdmodml::obs::MetricsRegistry::instance().to_json();
     }
-    records_.push_back(
-        {bench, op, wall_ms, n_jobs, threads, repeats, std::move(snapshot)});
+    records_.push_back({bench, op, wall_ms, n_jobs, threads, repeats,
+                        std::string(simd::isa_name(simd::active())),
+                        std::move(snapshot)});
   }
 
   /// Writes and clears the collected records; no-op without a path.
@@ -134,13 +190,21 @@ class BenchJsonRecorder {
       std::fprintf(stderr, "bench: cannot write JSON to %s\n", path_.c_str());
       return;
     }
+    const std::string host = ", \"nproc\": " +
+                             std::to_string(affinity_cpus()) +
+                             ", \"isa\": \"";
+    const std::string build = "\", \"compiler\": \"" + escape(kCompiler) +
+                              "\", \"build_type\": \"" +
+                              escape(XDMODML_BUILD_TYPE) +
+                              "\", \"commit\": \"" + source_commit() + "\"";
     out << "[\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const auto& r = records_[i];
       out << "  {\"bench\": \"" << escape(r.bench) << "\", \"op\": \""
           << escape(r.op) << "\", \"wall_ms\": " << r.wall_ms
           << ", \"n_jobs\": " << r.n_jobs << ", \"threads\": " << r.threads
-          << ", \"repeats\": " << r.repeats;
+          << ", \"repeats\": " << r.repeats << host << escape(r.isa)
+          << build;
       // Already a JSON object — embedded verbatim, never escaped.
       if (!r.metrics_json.empty()) out << ", \"metrics\": " << r.metrics_json;
       out << "}" << (i + 1 < records_.size() ? "," : "") << "\n";
@@ -161,8 +225,18 @@ class BenchJsonRecorder {
     std::size_t n_jobs;
     std::size_t threads;
     std::size_t repeats;
+    std::string isa;           ///< SIMD ISA active at record time
     std::string metrics_json;  ///< registry snapshot; empty = no --metrics
   };
+
+  static constexpr const char* kCompiler =
+#if defined(__clang__)
+      "clang " __clang_version__;
+#elif defined(__GNUC__)
+      "gcc " __VERSION__;
+#else
+      "unknown";
+#endif
 
   static std::string escape(const std::string& s) {
     std::string out;

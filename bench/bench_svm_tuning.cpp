@@ -10,11 +10,10 @@
 // reuse: the fold assignment and standardization are hoisted out of the
 // cell loop, so each γ row can share one full-matrix kernel-row cache
 // across every C cell and every CV fold.  Timings for the reuse arm vs
-// per-cell refits (and the float32 vs float64 row-storage ablation) are
-// recorded as JSON (BENCH_tuning.json by default; override with
-// --json=<path> or XDMODML_BENCH_JSON).  Reuse is pure plumbing — the
-// arms must produce bit-identical accuracy tables, which this bench
-// verifies on every run.
+// per-cell refits are recorded as JSON (BENCH_tuning.json by default;
+// override with --json=<path> or XDMODML_BENCH_JSON).  Reuse is pure
+// plumbing — the arms must produce bit-identical accuracy tables, which
+// this bench verifies on every run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -65,37 +64,26 @@ void run_experiment() {
               "%zu applications ===\n\n",
               ds.size(), apps.size());
 
-  // Three timed arms over the identical grid: per-cell refits (the
-  // pre-reuse baseline), the shared per-γ cache with float64 rows, and
-  // the default float32 rows (same byte budget, twice the rows).
+  // Two timed arms over the identical grid: per-cell refits (the
+  // pre-reuse baseline) and the shared per-γ cache.
   ml::SvmGridSearchOptions refit;
   refit.seed = 7;
   refit.reuse_kernel_cache = false;
-  ml::SvmGridSearchOptions reuse64 = refit;
-  reuse64.reuse_kernel_cache = true;
-  reuse64.cache_precision = ml::GramPrecision::kFloat64;
-  ml::SvmGridSearchOptions reuse32 = reuse64;
-  reuse32.cache_precision = ml::GramPrecision::kFloat32;
+  ml::SvmGridSearchOptions reuse = refit;
+  reuse.reuse_kernel_cache = true;
 
   std::vector<ml::GridPoint> points_refit;
-  std::vector<ml::GridPoint> points_reuse64;
   std::vector<ml::GridPoint> points;
   const auto refit_t = time_median_ms(
       [&] { points_refit = ml::svm_grid_search(ds, gammas, cs, refit); }, 3);
-  const auto reuse64_t = time_median_ms(
-      [&] { points_reuse64 = ml::svm_grid_search(ds, gammas, cs, reuse64); },
-      3);
-  const auto reuse32_t = time_median_ms(
-      [&] { points = ml::svm_grid_search(ds, gammas, cs, reuse32); }, 3);
+  const auto reuse_t = time_median_ms(
+      [&] { points = ml::svm_grid_search(ds, gammas, cs, reuse); }, 3);
   const double refit_ms = refit_t.median_ms;
-  const double reuse64_ms = reuse64_t.median_ms;
-  const double reuse32_ms = reuse32_t.median_ms;
+  const double reuse_ms = reuse_t.median_ms;
   json.record("bench_svm_tuning", "sweep_refit_per_cell", refit_ms,
               ds.size(), threads, refit_t.repeats);
-  json.record("bench_svm_tuning", "sweep_reuse_f64", reuse64_ms, ds.size(),
-              threads, reuse64_t.repeats);
-  json.record("bench_svm_tuning", "sweep_reuse_f32", reuse32_ms, ds.size(),
-              threads, reuse32_t.repeats);
+  json.record("bench_svm_tuning", "sweep_reuse_f32", reuse_ms, ds.size(),
+              threads, reuse_t.repeats);
 
   // Render as a γ-row / C-column heat map.
   std::vector<std::string> header{"gamma \\ C"};
@@ -126,12 +114,10 @@ void run_experiment() {
   }
 
   std::printf("\nsweep wall time: refit per cell %.0f ms | shared cache "
-              "f64 %.0f ms (%.2fx) | shared cache f32 %.0f ms (%.2fx)\n",
-              refit_ms, reuse64_ms, refit_ms / reuse64_ms, reuse32_ms,
-              refit_ms / reuse32_ms);
+              "%.0f ms (%.2fx)\n",
+              refit_ms, reuse_ms, refit_ms / reuse_ms);
   std::printf("accuracy tables across the arms: %s\n",
-              tables_identical(points, points_refit) &&
-                      tables_identical(points, points_reuse64)
+              tables_identical(points, points_refit)
                   ? "bit-identical (reuse is pure plumbing)"
                   : "MISMATCH — reuse changed results!");
 

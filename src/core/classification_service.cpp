@@ -19,6 +19,14 @@ namespace {
 /// every `ingest`, gates inline.
 constexpr std::size_t kGateGrain = 64;
 
+/// Rows [lo, hi) of `m`, copied into a matrix of their own.
+Matrix row_range(const Matrix& m, std::size_t lo, std::size_t hi) {
+  Matrix out(hi - lo, m.cols());
+  const auto src = m.data().subspan(lo * m.cols(), (hi - lo) * m.cols());
+  std::copy(src.begin(), src.end(), out.data().begin());
+  return out;
+}
+
 /// Serving-path metrics, registered once per process.
 struct ServiceMetrics {
   obs::Counter& identified =
@@ -105,36 +113,38 @@ void ClassificationService::fail_classify(IngestResult& result,
 }
 
 void ClassificationService::predict_pending(
-    const std::vector<supremm::JobSummary>& jobs,
     std::span<const std::size_t> pending, const Matrix& features,
     std::vector<IngestResult>& results) const {
-  try {
-    auto predictions = classifier_->predict_standardized_batch(features);
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      settle(results[pending[k]], std::move(predictions[k]));
-    }
-    return;
-  } catch (const std::exception& e) {
-    // A lone row was predicted on its own already: it fails alone.
-    if (pending.size() == 1) {
-      fail_classify(results[pending.front()], e);
-      return;
-    }
-    // A pool fault (`thread_pool.chunk`) or any other batch exception.
-    // Prediction is pure and deterministic, so predicting the rows one at
-    // a time gives every row that succeeds the bits the batch would have
-    // given it, and a row that throws fails alone.
-    auto& metrics = ServiceMetrics::get();
-    metrics.batch_failures.inc();
-    metrics.batch_serial_retries.inc();
-  }
-  for (const std::size_t i : pending) {
+  // A pool fault (`thread_pool.chunk`) or one row whose prediction
+  // throws fails the whole batch.  Prediction is pure and does not depend
+  // on a row's place in the batch, so each half predicted on its own
+  // gives every row that succeeds the bits the whole batch would have.
+  const auto predict = [&](const auto& self,
+                           std::span<const std::size_t> part,
+                           const Matrix& rows) -> void {
     try {
-      settle(results[i], classifier_->predict(jobs[i]));
+      auto predictions = classifier_->predict_standardized_batch(rows);
+      for (std::size_t k = 0; k < part.size(); ++k) {
+        settle(results[part[k]], std::move(predictions[k]));
+      }
+      return;
     } catch (const std::exception& e) {
-      fail_classify(results[i], e);
+      // A lone row was predicted on its own already: it fails alone.
+      if (part.size() == 1) {
+        fail_classify(results[part.front()], e);
+        return;
+      }
+      if (part.size() == pending.size()) {  // once per batch
+        auto& metrics = ServiceMetrics::get();
+        metrics.batch_failures.inc();
+        metrics.batch_serial_retries.inc();
+      }
     }
-  }
+    const std::size_t mid = part.size() / 2;
+    self(self, part.first(mid), row_range(rows, 0, mid));
+    self(self, part.subspan(mid), row_range(rows, mid, rows.rows()));
+  };
+  predict(predict, pending, features);
 }
 
 void ClassificationService::commit(supremm::JobSummary job,
@@ -260,7 +270,7 @@ std::vector<ClassificationService::IngestResult> ClassificationService::serve(
   std::uint64_t predict_ns = 0;
   if (!pending.empty()) {
     const std::uint64_t t0 = clocked ? obs::now_ns() : 0;
-    predict_pending(jobs, pending, rows.gather_rows(pending), results);
+    predict_pending(pending, rows.gather_rows(pending), results);
     if (clocked) predict_ns = obs::now_ns() - t0;
   }
 

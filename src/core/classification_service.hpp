@@ -49,11 +49,14 @@
 // `IngestResult::error` set and that job alone dead-lettered.  A
 // thread-pool fault during the gate phase reruns every gate serially.
 // When the batched prediction of two or more jobs throws (a thread-pool
-// fault or any other error), they are predicted again one at a time:
-// prediction is deterministic, so each gets the bits the batch would
-// have given it, and a job whose own prediction throws fails alone.  A
-// lone pending job is predicted once; if that throws, it fails.  Every
-// recovery is counted under fail.* / retry.* in the metrics registry.
+// fault or any other error), the batch is split in half and each half
+// predicted as a batch again, down to single jobs.  A job's prediction
+// does not depend on its place in the batch, so each gets the bits the
+// whole batch would have given it, and a job whose own prediction
+// throws fails alone: one such job among p pending costs at most
+// 2⌈log₂ p⌉ + 1 batched predictions.  A lone pending job is predicted
+// once; if that throws, it fails.  Every recovery is counted under
+// fail.* / retry.* in the metrics registry, once per batch.
 #pragma once
 
 #include <cstddef>
@@ -183,12 +186,12 @@ class ClassificationService {
   /// committed); `ingest` and `ingest_batch` both run it.
   std::vector<IngestResult> serve(std::vector<supremm::JobSummary>& jobs);
 
-  /// Phase 2: predicts the jobs `pending` indexes (row k of `features`
-  /// is jobs[pending[k]]) and settles their results.  When more than one
-  /// row was pending and the batch throws, predicts them again one at a
-  /// time; a lone row that throws fails alone.  Never throws.
-  void predict_pending(const std::vector<supremm::JobSummary>& jobs,
-                       std::span<const std::size_t> pending,
+  /// Phase 2: predicts the standardized rows of `features` (row k
+  /// belongs to results[pending[k]]) in one batch and settles their
+  /// results.  A batch that throws is halved and each half predicted
+  /// again, down to single rows; a row that throws alone fails alone.
+  /// Never throws.
+  void predict_pending(std::span<const std::size_t> pending,
                        const Matrix& features,
                        std::vector<IngestResult>& results) const;
 

@@ -54,8 +54,7 @@ std::vector<SweepPoint> predictor_sweep(
   // be quantile-binned ONCE here, with every cutoff's forest reusing the
   // column subset of the shared codes instead of re-binning per k.
   std::shared_ptr<const ml::BinnedDataset> binned_full;
-  if (ml::resolve_split_algo(config.tree.split_algo) ==
-      ml::SplitAlgo::kHist) {
+  if (config.tree.split_algo == ml::SplitAlgo::kHist) {
     binned_full = std::make_shared<const ml::BinnedDataset>(train.X);
   }
   std::vector<std::size_t> all_rows(train.size());

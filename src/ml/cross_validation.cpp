@@ -81,7 +81,7 @@ CvResult forest_cross_validate(const Dataset& ds, const ForestConfig& config,
   // of the same codes.  With the exact split algorithm the shared
   // dataset is simply ignored by the trees.
   std::shared_ptr<const BinnedDataset> binned;
-  if (resolve_split_algo(config.tree.split_algo) == SplitAlgo::kHist) {
+  if (config.tree.split_algo == SplitAlgo::kHist) {
     binned = std::make_shared<const BinnedDataset>(ds.X);
   }
 
@@ -160,11 +160,9 @@ std::vector<GridPoint> svm_grid_search(const Dataset& ds,
                   "fold without train or test rows — too many folds");
   }
 
-  const std::size_t capacity =
-      std::min(SharedGramCache::rows_for_budget(xs.rows(),
-                                                options.cache_bytes,
-                                                options.cache_precision),
-               xs.rows());
+  const std::size_t capacity = std::min(
+      SharedGramCache::rows_for_budget(xs.rows(), options.cache_bytes),
+      xs.rows());
   const int num_classes = static_cast<int>(ds.num_classes());
   std::vector<GridPoint> points;
   for (const double gamma : gammas) {
@@ -176,8 +174,8 @@ std::vector<GridPoint> svm_grid_search(const Dataset& ds,
     // via predict_shared.
     std::unique_ptr<SharedGramCache> cache;
     if (options.reuse_kernel_cache) {
-      cache = std::make_unique<SharedGramCache>(
-          xs, Kernel::rbf(gamma), capacity, options.cache_precision);
+      cache = std::make_unique<SharedGramCache>(xs, Kernel::rbf(gamma),
+                                                capacity);
     }
     for (const double c : cs) {
       auto& registry = obs::MetricsRegistry::instance();
@@ -192,15 +190,14 @@ std::vector<GridPoint> svm_grid_search(const Dataset& ds,
         SvmConfig config = options.base;
         config.kernel = Kernel::rbf(gamma);
         config.c = c;
-        config.cache_precision = options.cache_precision;
         // The refit arm (reuse off) runs the *same* code path against a
         // fresh cache per fit, so every fold of every cell recomputes
         // its kernel rows from scratch; identical arithmetic, so the
         // two arms' accuracy tables are bit-identical by construction.
         std::unique_ptr<SharedGramCache> fresh;
         if (!options.reuse_kernel_cache) {
-          fresh = std::make_unique<SharedGramCache>(
-              xs, Kernel::rbf(gamma), capacity, options.cache_precision);
+          fresh = std::make_unique<SharedGramCache>(xs, Kernel::rbf(gamma),
+                                                    capacity);
         }
         SharedGramCache& active = fresh ? *fresh : *cache;
         const auto before = active.stats();

@@ -66,16 +66,13 @@ struct SvmGridSearchOptions {
   /// and every CV fold (the RBF Gram matrix depends on γ alone, and each
   /// fold's training set is a row subset of the full dataset).  Pure
   /// reuse: the accuracy table is bit-identical to per-cell refits,
-  /// which remain available as the ablation/baseline arm.
+  /// which stay as the reference arm of that equivalence test.
   bool reuse_kernel_cache = true;
-  /// Row storage precision of the tuning caches (and of the per-cell
-  /// caches in the refit arm, so the two arms stay comparable).
-  GramPrecision cache_precision = GramPrecision::kFloat32;
   /// Byte budget per per-γ tuning cache.
   std::size_t cache_bytes = 256ull << 20;
-  /// Base SVM config; kernel, C, and cache_precision are overwritten per
-  /// cell.  Defaults to probability = false (accuracy-only tuning); with
-  /// probability on, Platt CV folds also slice out of the shared cache.
+  /// Base SVM config; kernel and C are overwritten per cell.  Defaults
+  /// to probability = false (accuracy-only tuning); with probability on,
+  /// Platt CV folds also slice out of the shared cache.
   SvmConfig base;
 };
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <numeric>
 
@@ -13,26 +10,6 @@
 #include "ml/model_io.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
-
-namespace xdmodml::ml {
-
-SplitAlgo resolve_split_algo(SplitAlgo requested) {
-  if (requested != SplitAlgo::kAuto) return requested;
-  static const SplitAlgo from_env = [] {
-    if (const char* v = std::getenv("XDMODML_TREE_SPLIT")) {
-      if (std::strcmp(v, "exact") == 0) return SplitAlgo::kExact;
-      if (std::strcmp(v, "hist") == 0) return SplitAlgo::kHist;
-      std::fprintf(stderr,
-                   "xdmodml: XDMODML_TREE_SPLIT=%s unknown (want exact or "
-                   "hist); using hist\n",
-                   v);
-    }
-    return SplitAlgo::kHist;
-  }();
-  return from_env;
-}
-
-}  // namespace xdmodml::ml
 
 namespace xdmodml::ml::detail {
 
@@ -327,7 +304,7 @@ void TreeEngine::fit(const Matrix& X, std::span<const int> y_class,
   ctx.rng = &rng;
   ctx.feature_pool.resize(num_features_);
   std::iota(ctx.feature_pool.begin(), ctx.feature_pool.end(), 0);
-  ctx.algo = resolve_split_algo(config_.split_algo);
+  ctx.algo = config_.split_algo;
   ctx.classification = task_ == Task::kClassification;
 
   std::unique_ptr<BinnedDataset> owned;

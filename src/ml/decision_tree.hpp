@@ -31,16 +31,10 @@ namespace xdmodml::ml {
 
 class BinnedDataset;
 
-/// Split-search algorithm selector.  kAuto defers to the
-/// XDMODML_TREE_SPLIT environment variable ("exact" / "hist", read once
-/// per process) and defaults to kHist; an explicit kExact/kHist in the
-/// config always wins over the environment, mirroring how
-/// XDMODML_SIMD interacts with simd::set_active.
-enum class SplitAlgo { kAuto, kExact, kHist };
-
-/// Resolves kAuto against the environment; returns non-auto requests
-/// unchanged.
-SplitAlgo resolve_split_algo(SplitAlgo requested);
+/// Split-search algorithm selector.  kHist is the default; kExact stays
+/// as the reference the binned-split equivalence tests and bench_forest
+/// compare against.
+enum class SplitAlgo { kExact, kHist };
 
 /// Hyper-parameters shared by tree classifier / regressor / forest.
 struct TreeConfig {
@@ -49,7 +43,7 @@ struct TreeConfig {
   std::size_t min_samples_leaf = 1;   ///< both children must have >= this
   std::size_t max_features = 0;       ///< features tried per split; 0 = all
   double min_impurity_decrease = 0.0; ///< prune splits that gain less
-  SplitAlgo split_algo = SplitAlgo::kAuto;  ///< split search (see above)
+  SplitAlgo split_algo = SplitAlgo::kHist;  ///< split search (see above)
 };
 
 namespace detail {

@@ -46,8 +46,8 @@ void bootstrap_sample(std::span<const std::size_t> rows, Rng& rng,
   }
 }
 
-/// Bins X once for the whole forest when the resolved split algorithm
-/// wants histograms and the caller did not supply a shared dataset.
+/// Bins X once for the whole forest when the split algorithm wants
+/// histograms and the caller did not supply a shared dataset.
 std::shared_ptr<const BinnedDataset> ensure_binned(
     const Matrix& X, const TreeConfig& tree_config,
     std::shared_ptr<const BinnedDataset> binned) {
@@ -57,7 +57,7 @@ std::shared_ptr<const BinnedDataset> ensure_binned(
                   "shared binned dataset does not match X");
     return binned;
   }
-  if (resolve_split_algo(tree_config.split_algo) == SplitAlgo::kHist) {
+  if (tree_config.split_algo == SplitAlgo::kHist) {
     return std::make_shared<const BinnedDataset>(X);
   }
   return nullptr;

@@ -73,37 +73,25 @@ std::span<const double> KernelRowCache::row(std::size_t i) {
 
 void SharedGramCache::Row::gather(std::span<const std::size_t> idx,
                                   std::span<double> out) const {
-  if (!f32_.empty()) {
-    const float* r = f32_.data();
-    for (std::size_t t = 0; t < idx.size(); ++t) {
-      out[t] = static_cast<double>(r[idx[t]]);
-    }
-  } else {
-    const double* r = f64_.data();
-    for (std::size_t t = 0; t < idx.size(); ++t) out[t] = r[idx[t]];
+  const float* r = data_.data();
+  for (std::size_t t = 0; t < idx.size(); ++t) {
+    out[t] = static_cast<double>(r[idx[t]]);
   }
 }
 
 double SharedGramCache::Row::dot_at(std::span<const std::size_t> idx,
                                     std::span<const double> coef) const {
+  const float* r = data_.data();
   double f = 0.0;
-  if (!f32_.empty()) {
-    const float* r = f32_.data();
-    for (std::size_t s = 0; s < idx.size(); ++s) {
-      f += coef[s] * static_cast<double>(r[idx[s]]);
-    }
-  } else {
-    const double* r = f64_.data();
-    for (std::size_t s = 0; s < idx.size(); ++s) f += coef[s] * r[idx[s]];
+  for (std::size_t s = 0; s < idx.size(); ++s) {
+    f += coef[s] * static_cast<double>(r[idx[s]]);
   }
   return f;
 }
 
 SharedGramCache::SharedGramCache(const Matrix& X, Kernel kernel,
-                                 std::size_t capacity_rows,
-                                 GramPrecision precision)
-    : engine_(X, kernel), capacity_(std::max<std::size_t>(2, capacity_rows)),
-      precision_(precision) {
+                                 std::size_t capacity_rows)
+    : engine_(X, kernel), capacity_(std::max<std::size_t>(2, capacity_rows)) {
   diag_.resize(X.rows());
   for (std::size_t i = 0; i < X.rows(); ++i) diag_[i] = engine_.diagonal(i);
 }
@@ -115,39 +103,24 @@ SharedGramCache::~SharedGramCache() {
       -static_cast<std::int64_t>(rows_.size() * row_bytes()));
 }
 
-std::size_t SharedGramCache::row_bytes() const {
-  return engine_.rows() * (precision_ == GramPrecision::kFloat32
-                               ? sizeof(float)
-                               : sizeof(double));
-}
-
 std::size_t SharedGramCache::rows_for_budget(std::size_t n,
-                                             std::size_t budget_bytes,
-                                             GramPrecision precision) {
+                                             std::size_t budget_bytes) {
   XDMODML_CHECK(n > 0, "rows_for_budget requires a non-empty matrix");
-  const std::size_t elem = precision == GramPrecision::kFloat32
-                               ? sizeof(float)
-                               : sizeof(double);
-  return std::max<std::size_t>(2, budget_bytes / (n * elem));
+  return std::max<std::size_t>(2, budget_bytes / (n * sizeof(float)));
 }
 
 SharedGramCache::RowPtr SharedGramCache::compute_row(std::size_t i) const {
-  // The engine always emits doubles; the float32 path narrows once at
-  // fill time so every later reuse reads half the bytes.  This is the
-  // only place a row payload is built — the cached, bypass and
-  // evict-retry paths all share it, which is what makes the degraded
-  // modes bit-identical to the healthy one.
+  // The engine always emits doubles; the row narrows once at fill time
+  // so every later reuse reads half the bytes.  This is the only place a
+  // row payload is built — the cached, uncached and evict-retry paths
+  // all share it, which is what makes the degraded modes bit-identical
+  // to the healthy one.
+  std::vector<double> wide(engine_.rows());
+  engine_.fill_row(i, wide);
   auto fresh = std::make_shared<Row>();
-  if (precision_ == GramPrecision::kFloat32) {
-    std::vector<double> scratch(engine_.rows());
-    engine_.fill_row(i, scratch);
-    fresh->f32_.resize(scratch.size());
-    for (std::size_t j = 0; j < scratch.size(); ++j) {
-      fresh->f32_[j] = static_cast<float>(scratch[j]);
-    }
-  } else {
-    fresh->f64_.resize(engine_.rows());
-    engine_.fill_row(i, fresh->f64_);
+  fresh->data_.resize(wide.size());
+  for (std::size_t j = 0; j < wide.size(); ++j) {
+    fresh->data_[j] = static_cast<float>(wide[j]);
   }
   return fresh;
 }
@@ -171,7 +144,7 @@ SharedGramCache::RowPtr SharedGramCache::row(std::size_t i) {
   auto& metrics = GramCacheMetrics::get();
   // Budget-exceeded fallback: compute the row, hand it out, never touch
   // the LRU.  Slower (no reuse) but numerically indistinguishable.
-  if (bypass() || fp::triggered("gram_cache.budget")) {
+  if (fp::triggered("gram_cache.budget")) {
     metrics.uncached_rows.inc();
     return compute_row(i);
   }
@@ -255,6 +228,8 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
                 "SMO problem vectors must all have size n");
   XDMODML_CHECK(static_cast<bool>(problem.kernel_row),
                 "SMO requires a kernel_row callback");
+  XDMODML_CHECK(static_cast<bool>(problem.kernel_diag),
+                "SMO requires a kernel_diag callback");
 
   constexpr double kTau = 1e-12;
   const auto y = problem.y;
@@ -264,15 +239,7 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
 
   // Kernel diagonal (needed by second-order selection every iteration).
   std::vector<double> k_diag(n);
-  if (problem.kernel_diag) {
-    for (std::size_t i = 0; i < n; ++i) k_diag[i] = problem.kernel_diag(i);
-  } else {
-    // Legacy path: materialise each row once through the cache; when the
-    // capacity covers n this doubles as a warm start for the solver.
-    for (std::size_t i = 0; i < n; ++i) {
-      k_diag[i] = cache.row(i)[i];
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) k_diag[i] = problem.kernel_diag(i);
 
   SmoResult result;
   result.alpha.assign(n, 0.0);

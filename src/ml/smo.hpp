@@ -19,7 +19,6 @@
 // convergence check (and whenever the active set optimizes out early).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <list>
@@ -40,8 +39,7 @@ namespace xdmodml::ml {
 struct SmoProblem {
   std::size_t n = 0;
   std::function<void(std::size_t i, std::span<double> out)> kernel_row;
-  /// Optional O(1) diagonal k(x_i, x_i); when absent the solver derives
-  /// the diagonal by materialising every row once (the legacy path).
+  /// k(x_i, x_i), read once per variable; required like `kernel_row`.
   std::function<double(std::size_t i)> kernel_diag;
   std::span<const double> p;     ///< linear term, size n
   std::span<const signed char> y;  ///< ±1 labels, size n
@@ -97,14 +95,6 @@ class KernelRowCache {
   std::size_t misses_ = 0;
 };
 
-/// Storage precision of cached full-matrix Gram rows.  Float32 doubles
-/// the effective cache capacity and halves the memory bandwidth of every
-/// reuse; its ~1e-7 relative rounding sits far below the SMO KKT
-/// tolerance (1e-3), so solver results are equivalent (tested to 1e-3 on
-/// alphas/rho/objective, exact on predicted labels).  Float64 is the
-/// exact ablation arm.
-enum class GramPrecision { kFloat32, kFloat64 };
-
 /// Thread-safe LRU cache of *full-matrix* kernel rows, backed by a
 /// GramRowEngine.  One instance is shared by every one-vs-one sub-problem
 /// of a multiclass fit — and, through `SvmClassifier::fit_shared`, by
@@ -114,41 +104,38 @@ enum class GramPrecision { kFloat32, kFloat64 };
 /// of each fit re-deriving kernels over its private row subset.  Rows are
 /// handed out as shared_ptrs so concurrent readers stay valid across
 /// evictions; a row raced by two threads may be computed twice but is
-/// inserted once.  Rows are stored in `precision` (float32 by default;
-/// see GramPrecision) and always read back as double.
+/// inserted once.  Rows are stored as float — half the bytes of a double
+/// row, so the byte budget affords twice the rows — and read back as
+/// double.  The ~1e-7 relative rounding sits far below the SMO KKT
+/// tolerance (1e-3): solves agree with the exact GramRowEngine path to
+/// 1e-3 on alphas/rho/objective and exactly on predicted labels.
 ///
-/// Degraded modes (both produce bit-identical rows — the bypass path
-/// shares the cached path's fill-and-narrow code):
+/// Degraded modes (both produce bit-identical rows — every path shares
+/// one fill-and-narrow helper):
 ///  - Row-payload allocation failure (std::bad_alloc, or the injected
 ///    `gram_cache.alloc` fault) evicts every resident row and retries the
 ///    compute once before giving up (`fail.gram_cache.alloc` /
 ///    `retry.gram_cache.evict_retry` metrics).
-///  - When the memory budget is exceeded (`set_bypass(true)`, or the
-///    `gram_cache.budget` failpoint armed with a `return` policy), row()
-///    computes without caching and the LRU is left untouched
-///    (`gram_cache.uncached_rows` metric).
+///  - When the memory budget is exceeded (the `gram_cache.budget`
+///    failpoint armed with a `return` policy), row() computes without
+///    caching and the LRU is left untouched (`gram_cache.uncached_rows`
+///    metric).
 class SharedGramCache {
  public:
-  SharedGramCache(const Matrix& X, Kernel kernel, std::size_t capacity_rows,
-                  GramPrecision precision = GramPrecision::kFloat32);
+  SharedGramCache(const Matrix& X, Kernel kernel, std::size_t capacity_rows);
   /// Releases this cache's share of the process-wide resident gauges.
   ~SharedGramCache();
 
-  /// One cached full-matrix kernel row; exactly one of the two payload
-  /// vectors is populated, matching the cache's precision.  Immutable
-  /// once handed out.
+  /// One cached full-matrix kernel row.  Immutable once handed out.
   class Row {
    public:
-    std::size_t size() const {
-      return f32_.empty() ? f64_.size() : f32_.size();
-    }
+    std::size_t size() const { return data_.size(); }
 
     double operator[](std::size_t j) const {
-      return f32_.empty() ? f64_[j] : static_cast<double>(f32_[j]);
+      return static_cast<double>(data_[j]);
     }
 
-    /// out[t] = row[idx[t]] — the one-vs-one subset slice, with the
-    /// precision branch hoisted out of the gather loop.
+    /// out[t] = row[idx[t]] — the one-vs-one subset slice.
     void gather(std::span<const std::size_t> idx,
                 std::span<double> out) const;
 
@@ -158,22 +145,15 @@ class SharedGramCache {
 
    private:
     friend class SharedGramCache;
-    std::vector<float> f32_;
-    std::vector<double> f64_;
+    std::vector<float> data_;
   };
 
   using RowPtr = std::shared_ptr<const Row>;
 
   /// Full kernel row i of the backing matrix (computed/cached on demand;
-  /// computed-only in bypass mode — see the class comment).
+  /// computed-only while the budget failpoint fires — see the class
+  /// comment).
   RowPtr row(std::size_t i);
-
-  /// Compute-without-caching mode: row() returns fresh rows and never
-  /// touches the LRU.  Identical numerics to the cached path.
-  void set_bypass(bool bypass) {
-    bypass_.store(bypass, std::memory_order_relaxed);
-  }
-  bool bypass() const { return bypass_.load(std::memory_order_relaxed); }
 
   /// k(x_i, x_i) in O(1) from the cached norms (always full precision —
   /// the solver's curvature terms never pay the float32 rounding).
@@ -181,18 +161,15 @@ class SharedGramCache {
 
   const GramRowEngine& engine() const { return engine_; }
   std::size_t rows() const { return engine_.rows(); }
-  GramPrecision precision() const { return precision_; }
 
-  /// Bytes of payload per cached row at this cache's precision.
-  std::size_t row_bytes() const;
+  /// Bytes of payload per cached row.
+  std::size_t row_bytes() const { return engine_.rows() * sizeof(float); }
   std::size_t capacity_rows() const { return capacity_; }
   std::size_t capacity_bytes() const { return capacity_ * row_bytes(); }
 
-  /// Rows of length `n` affordable under `budget_bytes` at `precision`
-  /// (floor 2, so the LRU always has a victim and a survivor).  Float32
-  /// affords exactly twice the rows of float64 for the same budget.
-  static std::size_t rows_for_budget(std::size_t n, std::size_t budget_bytes,
-                                     GramPrecision precision);
+  /// Rows of length `n` affordable under `budget_bytes` (floor 2, so the
+  /// LRU always has a victim and a survivor).
+  static std::size_t rows_for_budget(std::size_t n, std::size_t budget_bytes);
 
   /// One consistent view of the cache counters.  Taken under the cache
   /// lock in a single acquisition, so cross-field invariants (e.g.
@@ -213,8 +190,8 @@ class SharedGramCache {
   std::size_t evictions() const { return stats().evictions; }
 
  private:
-  /// Fills row i at this cache's precision (no locking, no LRU).  The
-  /// single compute used by the cached, bypass and evict-retry paths.
+  /// Fills row i (no locking, no LRU).  The single compute used by the
+  /// cached, uncached and evict-retry paths.
   RowPtr compute_row(std::size_t i) const;
   /// Allocation-pressure fallback: drops every resident row (gauges
   /// updated) so the retried compute has the whole budget to itself.
@@ -223,8 +200,6 @@ class SharedGramCache {
   GramRowEngine engine_;
   std::vector<double> diag_;
   std::size_t capacity_;
-  GramPrecision precision_;
-  std::atomic<bool> bypass_{false};
   mutable std::mutex mutex_;
   std::list<std::size_t> lru_;  // most recent at front
   struct Entry {

@@ -208,21 +208,13 @@ void BinarySvm::fit_decision(const Matrix& X, std::span<const signed char> y,
     problem.kernel_diag = [shared_cache, shared_rows](std::size_t i) {
       return shared_cache->diagonal(shared_rows[i]);
     };
-  } else if (config.gram_engine) {
+  } else {
     engine.emplace(X, config.kernel);
     problem.kernel_row = [&engine](std::size_t i, std::span<double> out) {
       engine->fill_row(i, out);
     };
     problem.kernel_diag = [&engine](std::size_t i) {
       return engine->diagonal(i);
-    };
-  } else {
-    // Scalar per-pair path (perf baseline / ablation arm).
-    problem.kernel_row = [&X, &config](std::size_t i, std::span<double> out) {
-      const auto xi = X.row(i);
-      for (std::size_t j = 0; j < X.rows(); ++j) {
-        out[j] = config.kernel(xi, X.row(j));
-      }
     };
   }
 
@@ -519,16 +511,6 @@ void SvmClassifier::share_pool(
   plan_ = SvmInferencePlan::build(machines_);
 }
 
-std::size_t SvmClassifier::machine_index(int a, int b) const {
-  XDMODML_CHECK(a >= 0 && b > a && b < num_classes_,
-                "machine_index requires 0 <= a < b < k");
-  // Machines are stored in lexicographic (a, b) order.
-  const auto k = static_cast<std::size_t>(num_classes_);
-  const auto ua = static_cast<std::size_t>(a);
-  const auto ub = static_cast<std::size_t>(b);
-  return ua * k - ua * (ua + 1) / 2 + (ub - ua - 1);
-}
-
 void SvmClassifier::fit(const Matrix& X, std::span<const int> y,
                         int num_classes) {
   fit_shared(X, y, num_classes, nullptr, {});
@@ -584,12 +566,11 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
   // place of the per-fit one and amortizes rows across fits too.
   std::unique_ptr<SharedGramCache> owned;
   SharedGramCache* shared = cache;
-  if (shared == nullptr && config_.gram_engine && config_.share_kernel_cache) {
-    const std::size_t budget_rows = SharedGramCache::rows_for_budget(
-        X.rows(), config_.shared_cache_bytes, config_.cache_precision);
+  if (shared == nullptr && config_.share_kernel_cache) {
+    const std::size_t budget_rows =
+        SharedGramCache::rows_for_budget(X.rows(), config_.shared_cache_bytes);
     owned = std::make_unique<SharedGramCache>(
-        X, config_.kernel, std::min(budget_rows, X.rows()),
-        config_.cache_precision);
+        X, config_.kernel, std::min(budget_rows, X.rows()));
     shared = owned.get();
   }
 
@@ -761,46 +742,23 @@ int SvmClassifier::predict_by_votes(std::span<const double> x) const {
 
 std::vector<int> SvmClassifier::predict_shared(
     SharedGramCache& cache, std::span<const std::size_t> rows) const {
-  XDMODML_CHECK(!machines_.empty(), "predict before fit");
-  const auto k = static_cast<std::size_t>(num_classes_);
+  const auto& plan = inference_plan();
+  std::vector<double> decisions(machines_.size());
   std::vector<int> labels;
   labels.reserve(rows.size());
   for (const auto r : rows) {
-    if (config_.probability) {
-      // Same pairwise coupling as predict_proba, with the decision
-      // values read off the probe's cached Gram row.
-      Matrix pairwise(k, k, 0.0);
-      for (int a = 0; a < num_classes_; ++a) {
-        for (int b = a + 1; b < num_classes_; ++b) {
-          const auto& machine = machines_[machine_index(a, b)];
-          const auto ua = static_cast<std::size_t>(a);
-          const auto ub = static_cast<std::size_t>(b);
-          double p = machine.sigmoid().probability(
-              finite_decision(machine.decision_value_cached(cache, r), ua, ub));
-          p = std::min(std::max(p, 1e-7), 1.0 - 1e-7);
-          pairwise(ua, ub) = p;
-          pairwise(ub, ua) = 1.0 - p;
-        }
-      }
-      const auto proba = couple_pairwise_probabilities(pairwise);
-      labels.push_back(static_cast<int>(
-          std::max_element(proba.begin(), proba.end()) - proba.begin()));
-    } else {
-      std::vector<std::size_t> votes(k, 0);
-      for (int a = 0; a < num_classes_; ++a) {
-        for (int b = a + 1; b < num_classes_; ++b) {
-          const auto& machine = machines_[machine_index(a, b)];
-          const auto ua = static_cast<std::size_t>(a);
-          const auto ub = static_cast<std::size_t>(b);
-          ++votes[finite_decision(machine.decision_value_cached(cache, r), ua,
-                                  ub) > 0.0
-                      ? ua
-                      : ub];
-        }
-      }
-      labels.push_back(static_cast<int>(
-          std::max_element(votes.begin(), votes.end()) - votes.begin()));
+    // predict's labelling rule, with the decision values read off the
+    // probe's cached Gram row.
+    for (std::size_t m = 0; m < machines_.size(); ++m) {
+      decisions[m] = machines_[m].decision_value_cached(cache, r);
     }
+    if (!config_.probability) {
+      labels.push_back(vote_label(num_classes_, decisions));
+      continue;
+    }
+    const auto proba = proba_from(plan, num_classes_, true, decisions);
+    labels.push_back(static_cast<int>(
+        std::max_element(proba.begin(), proba.end()) - proba.begin()));
   }
   return labels;
 }
@@ -1066,28 +1024,16 @@ void SvmRegressor::fit(const Matrix& X, std::span<const double> y) {
   problem.p = p;
   problem.y = labels;
   problem.c = c;
-  std::optional<GramRowEngine> engine;
-  if (config_.gram_engine) {
-    engine.emplace(X, config_.kernel);
-    // The doubled SVR variables alias the same l samples: fill one
-    // vectorized row and mirror it into the second half.
-    problem.kernel_row = [&engine, l](std::size_t i, std::span<double> out) {
-      engine->fill_row(i % l, out.subspan(0, l));
-      std::copy_n(out.data(), l, out.data() + l);
-    };
-    problem.kernel_diag = [&engine, l](std::size_t i) {
-      return engine->diagonal(i % l);
-    };
-  } else {
-    problem.kernel_row = [&X, this, l](std::size_t i, std::span<double> out) {
-      const auto xi = X.row(i % l);
-      for (std::size_t j = 0; j < l; ++j) {
-        const double k = config_.kernel(xi, X.row(j));
-        out[j] = k;
-        out[j + l] = k;
-      }
-    };
-  }
+  const GramRowEngine engine(X, config_.kernel);
+  // The doubled SVR variables alias the same l samples: fill one
+  // vectorized row and mirror it into the second half.
+  problem.kernel_row = [&engine, l](std::size_t i, std::span<double> out) {
+    engine.fill_row(i % l, out.subspan(0, l));
+    std::copy_n(out.data(), l, out.data() + l);
+  };
+  problem.kernel_diag = [&engine, l](std::size_t i) {
+    return engine.diagonal(i % l);
+  };
 
   const SmoResult result = solve_smo(problem, config_.smo);
   rho_ = result.rho;

@@ -37,20 +37,15 @@ struct SvmConfig {
   std::size_t platt_cv_folds = 3;  ///< CV folds for calibration values
   bool parallel = true;         ///< train OvO machines on the thread pool
   double epsilon = 0.1;         ///< ε-SVR tube half-width
-  /// Vectorized norm-cached Gram-row engine for training kernels.  Off =
-  /// the scalar per-pair Kernel::operator() path (ablation / perf
-  /// baseline; results are numerically equivalent either way).
-  bool gram_engine = true;
   /// Share one thread-safe full-matrix kernel-row cache across all
   /// one-vs-one sub-problems (each Gram row is computed once and sliced
-  /// by every machine whose subset contains it).  Requires gram_engine.
+  /// by every machine whose subset contains it).  Off = each machine
+  /// solves over its own GramRowEngine with the solver's per-machine LRU,
+  /// which wins once the full matrix outgrows `shared_cache_bytes`
+  /// (DESIGN.md §7).
   bool share_kernel_cache = true;
   /// Memory budget for the shared cache (bytes of row storage).
   std::size_t shared_cache_bytes = 256ull << 20;
-  /// Storage precision of the shared cache's rows.  Float32 (default)
-  /// doubles the rows the byte budget affords and halves reuse
-  /// bandwidth; float64 is the exact ablation arm (run-time flag).
-  GramPrecision cache_precision = GramPrecision::kFloat32;
 };
 
 /// Parameters of a fitted Platt sigmoid  P(+1|f) = 1/(1+exp(A f + B)).
@@ -113,7 +108,7 @@ class BinarySvm {
   const Kernel& kernel() const { return kernel_; }
   double rho() const { return rho_; }
   /// alpha_i * y_i per support vector (|coef_i| = alpha_i); exposed for
-  /// the float-vs-double equivalence tests.
+  /// the float32-cache-vs-exact equivalence tests.
   std::span<const double> coefficients() const { return coef_; }
   const PlattSigmoid& sigmoid() const;
 
@@ -253,8 +248,6 @@ class SvmClassifier final : public Classifier {
   static SvmClassifier load(std::istream& in);
 
  private:
-  std::size_t machine_index(int a, int b) const;  // requires a < b
-
   /// Moves every machine onto one pool of `rows` (row-major, `dims`
   /// wide), machine m's support vector s onto pool row pool_idx[m][s],
   /// and builds the plan.

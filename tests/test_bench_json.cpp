@@ -151,6 +151,49 @@ TEST_F(BenchJsonTest, EmitsValidJsonWithRequiredKeys) {
   EXPECT_NE(text.find("\"repeats\": 1"), std::string::npos);
 }
 
+/// The string value of `"key": "..."` in a record line, or "" if absent.
+std::string string_field(const std::string& line, const std::string& key) {
+  const std::string open = "\"" + key + "\": \"";
+  const auto at = line.find(open);
+  if (at == std::string::npos) return "";
+  const auto begin = at + open.size();
+  return line.substr(begin, line.find('"', begin) - begin);
+}
+
+TEST_F(BenchJsonTest, EveryRowCarriesTheHostStamp) {
+  BenchJsonRecorder recorder;
+  recorder.set_path(path_);
+  recorder.record("bench_smo_solver", "ovo20_fit_engine", 10.0, 2000, 4, 3);
+  recorder.record("bench_smo_solver", "gram_sweep_scalar", 5.0, 2000, 4);
+  recorder.write();
+
+  const auto text = slurp(path_);
+  EXPECT_TRUE(JsonChecker(text).valid()) << text;
+  std::istringstream lines(text);
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"bench\"") == std::string::npos) continue;
+    ++rows;
+    const auto nproc = line.find("\"nproc\": ");
+    ASSERT_NE(nproc, std::string::npos) << line;
+    EXPECT_GE(std::stoi(line.substr(nproc + 9)), 1) << line;
+    EXPECT_EQ(string_field(line, "isa"), simd::isa_name(simd::active()));
+    EXPECT_FALSE(string_field(line, "compiler").empty()) << line;
+    EXPECT_FALSE(string_field(line, "build_type").empty()) << line;
+    // The source tree's HEAD (marked -dirty when tracked files differ
+    // from it), or "none" outside a git work tree.
+    auto commit = string_field(line, "commit");
+    if (commit.ends_with("-dirty")) commit.resize(commit.size() - 6);
+    EXPECT_TRUE(commit == "none" ||
+                (commit.size() == 40 &&
+                 commit.find_first_not_of("0123456789abcdef") ==
+                     std::string::npos))
+        << line;
+  }
+  EXPECT_EQ(rows, 2u);
+}
+
 TEST(TimeMedianMs, MedianOverRepeatsAndRepeatCountReported) {
   int calls = 0;
   const auto timed = time_median_ms([&] { ++calls; }, 5, 2);

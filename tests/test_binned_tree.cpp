@@ -211,9 +211,9 @@ TEST(HistAccumulation, ValueHistAddsExactlyOnIntegralTargets) {
   }
 }
 
-TEST(ResolveSplitAlgo, ExplicitRequestAlwaysWins) {
-  EXPECT_EQ(resolve_split_algo(SplitAlgo::kExact), SplitAlgo::kExact);
-  EXPECT_EQ(resolve_split_algo(SplitAlgo::kHist), SplitAlgo::kHist);
+TEST(SplitAlgoDefault, TreeConfigSelectsHist) {
+  EXPECT_EQ(TreeConfig{}.split_algo, SplitAlgo::kHist);
+  EXPECT_EQ(ForestConfig{}.tree.split_algo, SplitAlgo::kHist);
 }
 
 TEST(SplitEquivalence, ClassifierBitIdenticalOnDiscreteData) {

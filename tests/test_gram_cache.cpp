@@ -1,6 +1,6 @@
 // Property tests for SharedGramCache: LRU eviction order, byte-budget
-// capacity accounting under float32 vs float64 rows, slice helpers, and
-// a multi-threaded hammer asserting no torn rows or double-fills.
+// capacity accounting for float32 rows, slice helpers, and a
+// multi-threaded hammer asserting no torn rows or double-fills.
 #include "ml/smo.hpp"
 
 #include <gtest/gtest.h>
@@ -67,62 +67,47 @@ TEST(SharedGramCacheProps, RepeatedAccessDoesNotDoubleFill) {
 TEST(SharedGramCacheProps, ByteBudgetAccountsForPrecision) {
   const std::size_t n = 100;
   const std::size_t budget = 100 * 1024;  // 100 KiB
-  // float32 rows cost n*4 bytes, float64 rows n*8: the same byte budget
-  // affords exactly twice the float rows.
-  const auto rows_f32 = SharedGramCache::rows_for_budget(
-      n, budget, GramPrecision::kFloat32);
-  const auto rows_f64 = SharedGramCache::rows_for_budget(
-      n, budget, GramPrecision::kFloat64);
+  // float32 rows cost n*4 bytes.
+  const auto rows_f32 = SharedGramCache::rows_for_budget(n, budget);
   EXPECT_EQ(rows_f32, budget / (n * sizeof(float)));
-  EXPECT_EQ(rows_f64, budget / (n * sizeof(double)));
-  EXPECT_EQ(rows_f32, 2 * rows_f64);
   // Tiny budgets floor at 2 rows so the LRU always has a victim.
-  EXPECT_EQ(SharedGramCache::rows_for_budget(n, 0, GramPrecision::kFloat32),
-            2u);
+  EXPECT_EQ(SharedGramCache::rows_for_budget(n, 0), 2u);
 
   const Matrix X = make_matrix(n, 4, 13);
-  SharedGramCache f32(X, Kernel::rbf(0.1), rows_f32,
-                      GramPrecision::kFloat32);
-  SharedGramCache f64(X, Kernel::rbf(0.1), rows_f64,
-                      GramPrecision::kFloat64);
+  SharedGramCache f32(X, Kernel::rbf(0.1), rows_f32);
   EXPECT_EQ(f32.row_bytes(), n * sizeof(float));
-  EXPECT_EQ(f64.row_bytes(), n * sizeof(double));
   EXPECT_LE(f32.capacity_bytes(), budget);
-  EXPECT_LE(f64.capacity_bytes(), budget);
-  EXPECT_EQ(f32.capacity_bytes(), f64.capacity_bytes());
 }
 
 TEST(SharedGramCacheProps, GatherAndDotMatchElementAccess) {
   const Matrix X = make_matrix(12, 4, 14);
-  for (const auto precision :
-       {GramPrecision::kFloat32, GramPrecision::kFloat64}) {
-    SharedGramCache cache(X, Kernel::rbf(0.2), X.rows(), precision);
-    const auto row = cache.row(5);
-    const std::vector<std::size_t> idx{7, 0, 11, 5, 2};
-    std::vector<double> out(idx.size());
-    row->gather(idx, out);
-    const std::vector<double> coef{0.5, -1.0, 2.0, 0.25, -0.75};
-    double expected_dot = 0.0;
-    for (std::size_t t = 0; t < idx.size(); ++t) {
-      EXPECT_EQ(out[t], (*row)[idx[t]]);
-      expected_dot += coef[t] * (*row)[idx[t]];
-    }
-    EXPECT_DOUBLE_EQ(row->dot_at(idx, coef), expected_dot);
+  SharedGramCache cache(X, Kernel::rbf(0.2), X.rows());
+  const auto row = cache.row(5);
+  const std::vector<std::size_t> idx{7, 0, 11, 5, 2};
+  std::vector<double> out(idx.size());
+  row->gather(idx, out);
+  const std::vector<double> coef{0.5, -1.0, 2.0, 0.25, -0.75};
+  double expected_dot = 0.0;
+  for (std::size_t t = 0; t < idx.size(); ++t) {
+    EXPECT_EQ(out[t], (*row)[idx[t]]);
+    expected_dot += coef[t] * (*row)[idx[t]];
   }
+  EXPECT_DOUBLE_EQ(row->dot_at(idx, coef), expected_dot);
 }
 
 TEST(SharedGramCacheProps, Float32RowsRoundTheDoubleRows) {
   const Matrix X = make_matrix(20, 5, 15);
   const Kernel kernel = Kernel::rbf(0.3);
-  SharedGramCache f32(X, kernel, X.rows(), GramPrecision::kFloat32);
-  SharedGramCache f64(X, kernel, X.rows(), GramPrecision::kFloat64);
+  SharedGramCache f32(X, kernel, X.rows());
+  const GramRowEngine engine(X, kernel);
+  std::vector<double> exact(X.rows());
   for (std::size_t i = 0; i < X.rows(); ++i) {
     const auto a = f32.row(i);
-    const auto b = f64.row(i);
+    engine.fill_row(i, exact);
     for (std::size_t j = 0; j < X.rows(); ++j) {
       // The float row is exactly the rounded double row: same sweep,
       // one narrowing conversion.
-      EXPECT_EQ((*a)[j], static_cast<double>(static_cast<float>((*b)[j])));
+      EXPECT_EQ((*a)[j], static_cast<double>(static_cast<float>(exact[j])));
     }
   }
 }
@@ -140,41 +125,36 @@ TEST(SharedGramCacheProps, ConcurrentHammerYieldsNoTornRows) {
   Matrix expected(n, n);
   for (std::size_t i = 0; i < n; ++i) reference.fill_row(i, expected.row(i));
 
-  for (const auto precision :
-       {GramPrecision::kFloat32, GramPrecision::kFloat64}) {
-    SharedGramCache cache(X, kernel, 6, precision);  // deliberately small
-    constexpr std::size_t kThreads = 8;
-    constexpr std::size_t kOpsPerThread = 300;
-    std::atomic<std::size_t> mismatches{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(100 + t);
-        for (std::size_t op = 0; op < kOpsPerThread; ++op) {
-          const auto i = static_cast<std::size_t>(rng.uniform_index(n));
-          const auto row = cache.row(i);
-          if (row->size() != n) {
-            ++mismatches;
-            continue;
-          }
-          for (std::size_t j = 0; j < n; ++j) {
-            const double want =
-                precision == GramPrecision::kFloat32
-                    ? static_cast<double>(static_cast<float>(expected(i, j)))
-                    : expected(i, j);
-            if ((*row)[j] != want) ++mismatches;
-          }
+  SharedGramCache cache(X, kernel, 6);  // deliberately small
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kOpsPerThread = 300;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      for (std::size_t op = 0; op < kOpsPerThread; ++op) {
+        const auto i = static_cast<std::size_t>(rng.uniform_index(n));
+        const auto row = cache.row(i);
+        if (row->size() != n) {
+          ++mismatches;
+          continue;
         }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(mismatches.load(), 0u);
-    // Every access is exactly one hit or one miss — racing threads may
-    // compute a row twice, but the accounting never loses an access.
-    EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kOpsPerThread);
-    EXPECT_GE(cache.misses(), n - cache.capacity_rows());
+        for (std::size_t j = 0; j < n; ++j) {
+          const double want =
+              static_cast<double>(static_cast<float>(expected(i, j)));
+          if ((*row)[j] != want) ++mismatches;
+        }
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  // Every access is exactly one hit or one miss — racing threads may
+  // compute a row twice, but the accounting never loses an access.
+  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kOpsPerThread);
+  EXPECT_GE(cache.misses(), n - cache.capacity_rows());
 }
 
 // Regression test: composing the per-field accessors (hits(), misses(),

@@ -1,13 +1,14 @@
 // Equivalence tests for the float32 kernel-row cache and the
 // cross-grid/cross-fold kernel reuse path:
-//  * float32-cached vs float64-cached SMO agrees on alphas/rho/objective
-//    to 1e-3 (binary solve and the 20-class one-vs-one fit) and on
-//    predicted labels exactly;
+//  * SMO through the float32 cache agrees with the exact GramRowEngine
+//    path on alphas/rho/objective to 1e-3 (binary solve and the
+//    20-class one-vs-one fit) and on predicted labels exactly;
 //  * a tuning sweep with the shared per-γ cache produces a (γ, C)
 //    accuracy table bit-identical to per-cell refits;
-//  * the cache's degraded modes (bypass / compute-without-caching, and
-//    evict-and-retry after allocation faults) are bit-identical to the
-//    cached fast path — degradation changes cost, never answers.
+//  * the cache's degraded modes (compute-without-caching under the
+//    budget failpoint, and evict-and-retry after allocation faults) are
+//    bit-identical to the cached fast path — degradation changes cost,
+//    never answers.
 #include "ml/cross_validation.hpp"
 
 #include <gtest/gtest.h>
@@ -55,33 +56,46 @@ Dataset make_class_blobs(int classes, std::size_t per_class,
   return ds;
 }
 
-SmoResult solve_through_cache(const Matrix& X,
-                              std::span<const signed char> y,
-                              GramPrecision precision,
-                              bool bypass = false) {
-  SharedGramCache cache(X, Kernel::rbf(0.3), X.rows(), precision);
-  cache.set_bypass(bypass);
+// The binary problem both solve_* helpers pose: RBF(0.3), C = 10.  A
+// tight gap pins the (strictly-convex) dual optimum so the float32 cache
+// and the exact path converge to comparable solutions, not merely to two
+// different points inside a loose 1e-3 KKT window.
+SmoResult solve_rbf(const Matrix& X, std::span<const signed char> y,
+                    SmoProblem prob) {
   std::vector<double> p(X.rows(), -1.0);
   std::vector<double> c(X.rows(), 10.0);
-  SmoProblem prob;
   prob.n = X.rows();
   prob.p = p;
   prob.y = y;
   prob.c = c;
-  prob.kernel_row = [&cache](std::size_t i, std::span<double> out) {
-    const auto row = cache.row(i);
-    for (std::size_t j = 0; j < row->size(); ++j) out[j] = (*row)[j];
-  };
-  prob.kernel_diag = [&cache](std::size_t i) { return cache.diagonal(i); };
-  // A tight gap pins the (strictly-convex) dual optimum so the two
-  // precision arms converge to comparable solutions, not merely to two
-  // different points inside a loose 1e-3 KKT window.
   SmoConfig cfg;
   cfg.tolerance = 1e-6;
   return solve_smo(prob, cfg);
 }
 
-TEST(GramPrecisionEquivalence, BinarySmoAgreesAcrossPrecisions) {
+SmoResult solve_through_cache(const Matrix& X,
+                              std::span<const signed char> y) {
+  SharedGramCache cache(X, Kernel::rbf(0.3), X.rows());
+  SmoProblem prob;
+  prob.kernel_row = [&cache](std::size_t i, std::span<double> out) {
+    const auto row = cache.row(i);
+    for (std::size_t j = 0; j < row->size(); ++j) out[j] = (*row)[j];
+  };
+  prob.kernel_diag = [&cache](std::size_t i) { return cache.diagonal(i); };
+  return solve_rbf(X, y, std::move(prob));
+}
+
+SmoResult solve_exact(const Matrix& X, std::span<const signed char> y) {
+  const GramRowEngine engine(X, Kernel::rbf(0.3));
+  SmoProblem prob;
+  prob.kernel_row = [&engine](std::size_t i, std::span<double> out) {
+    engine.fill_row(i, out);
+  };
+  prob.kernel_diag = [&engine](std::size_t i) { return engine.diagonal(i); };
+  return solve_rbf(X, y, std::move(prob));
+}
+
+TEST(Float32CacheEquivalence, BinarySmoAgreesWithExactEngine) {
   Rng rng(31);
   Matrix X;
   std::vector<signed char> y;
@@ -92,22 +106,23 @@ TEST(GramPrecisionEquivalence, BinarySmoAgreesAcrossPrecisions) {
                                      rng.normal(label * 0.4, 0.8)});
     y.push_back(static_cast<signed char>(label));
   }
-  const auto r64 = solve_through_cache(X, y, GramPrecision::kFloat64);
-  const auto r32 = solve_through_cache(X, y, GramPrecision::kFloat32);
-  ASSERT_TRUE(r64.converged);
+  const auto exact = solve_exact(X, y);
+  const auto r32 = solve_through_cache(X, y);
+  ASSERT_TRUE(exact.converged);
   ASSERT_TRUE(r32.converged);
-  EXPECT_NEAR(r32.rho, r64.rho, 1e-3);
-  EXPECT_NEAR(r32.objective, r64.objective, 1e-3);
+  EXPECT_NEAR(r32.rho, exact.rho, 1e-3);
+  EXPECT_NEAR(r32.objective, exact.objective, 1e-3);
   for (std::size_t i = 0; i < X.rows(); ++i) {
-    EXPECT_NEAR(r32.alpha[i], r64.alpha[i], 1e-3) << "alpha " << i;
+    EXPECT_NEAR(r32.alpha[i], exact.alpha[i], 1e-3) << "alpha " << i;
   }
 }
 
-TEST(GramPrecisionEquivalence, TwentyClassOvoFitAgreesAcrossPrecisions) {
+TEST(Float32CacheEquivalence, TwentyClassOvoFitAgreesWithExactEngine) {
   const auto ds = make_class_blobs(20, 12, 6, 4.0, 77);
   const auto probes = make_class_blobs(20, 5, 6, 4.0, 78);
 
-  auto fit_with = [&](GramPrecision precision) {
+  // The shared float32 cache against one exact GramRowEngine per machine.
+  auto fit_with = [&](bool shared_float32_cache) {
     SvmConfig cfg;
     cfg.kernel = Kernel::rbf(0.1);
     cfg.c = 10.0;
@@ -115,19 +130,19 @@ TEST(GramPrecisionEquivalence, TwentyClassOvoFitAgreesAcrossPrecisions) {
     // legitimately stop at a different interior point, which is solver
     // slack, not cache-precision error.
     cfg.smo.tolerance = 1e-8;
-    cfg.cache_precision = precision;
+    cfg.share_kernel_cache = shared_float32_cache;
     SvmClassifier clf(cfg, 5);
     clf.fit(ds.X, ds.labels, 20);
     return clf;
   };
-  const auto clf32 = fit_with(GramPrecision::kFloat32);
-  const auto clf64 = fit_with(GramPrecision::kFloat64);
+  const auto clf32 = fit_with(true);
+  const auto clf_exact = fit_with(false);
 
   // Per-machine solver outputs agree within the SMO tolerance budget.
-  ASSERT_EQ(clf32.num_machines(), clf64.num_machines());
+  ASSERT_EQ(clf32.num_machines(), clf_exact.num_machines());
   for (std::size_t m = 0; m < clf32.num_machines(); ++m) {
     const auto& a = clf32.machine(m);
-    const auto& b = clf64.machine(m);
+    const auto& b = clf_exact.machine(m);
     EXPECT_NEAR(a.rho(), b.rho(), 1e-3) << "machine " << m;
     ASSERT_EQ(a.num_support_vectors(), b.num_support_vectors())
         << "machine " << m;
@@ -141,48 +156,23 @@ TEST(GramPrecisionEquivalence, TwentyClassOvoFitAgreesAcrossPrecisions) {
   // Labels agree exactly; coupled probabilities within the tolerance.
   for (std::size_t i = 0; i < probes.size(); ++i) {
     const auto x = probes.X.row(i);
-    EXPECT_EQ(clf32.predict(x), clf64.predict(x)) << "probe " << i;
+    EXPECT_EQ(clf32.predict(x), clf_exact.predict(x)) << "probe " << i;
     const auto p32 = clf32.predict_proba(x);
-    const auto p64 = clf64.predict_proba(x);
-    ASSERT_EQ(p32.size(), p64.size());
+    const auto p_exact = clf_exact.predict_proba(x);
+    ASSERT_EQ(p32.size(), p_exact.size());
     for (std::size_t k = 0; k < p32.size(); ++k) {
-      EXPECT_NEAR(p32[k], p64[k], 1e-3) << "probe " << i << " class " << k;
+      EXPECT_NEAR(p32[k], p_exact[k], 1e-3) << "probe " << i << " class " << k;
     }
   }
 }
 
 // --- Degraded-mode differentials ------------------------------------
 //
-// The cached path and both degraded paths (explicit bypass, failpoint-
-// forced uncached rows, evict-and-retry after allocation faults) all
-// fill rows through the same compute_row helper, so the solver must see
-// bit-identical Gram values and produce bit-identical results.  These
-// assert EXPECT_EQ on doubles deliberately.
-
-TEST(GramCacheDegradedPaths, BypassSolvesBitIdenticalToCached) {
-  Rng rng(57);
-  Matrix X;
-  std::vector<signed char> y;
-  for (int i = 0; i < 80; ++i) {
-    const int label = i % 2 == 0 ? 1 : -1;
-    X.append_row(std::vector<double>{rng.normal(label * 1.1, 1.0),
-                                     rng.normal(0.0, 1.0),
-                                     rng.normal(label * 0.5, 0.9)});
-    y.push_back(static_cast<signed char>(label));
-  }
-  for (const auto precision :
-       {GramPrecision::kFloat32, GramPrecision::kFloat64}) {
-    const auto cached = solve_through_cache(X, y, precision);
-    const auto bypassed = solve_through_cache(X, y, precision, true);
-    ASSERT_TRUE(cached.converged);
-    EXPECT_EQ(bypassed.rho, cached.rho);
-    EXPECT_EQ(bypassed.objective, cached.objective);
-    ASSERT_EQ(bypassed.alpha.size(), cached.alpha.size());
-    for (std::size_t i = 0; i < cached.alpha.size(); ++i) {
-      EXPECT_EQ(bypassed.alpha[i], cached.alpha[i]) << "alpha " << i;
-    }
-  }
-}
+// The cached path and both degraded paths (failpoint-forced uncached
+// rows, evict-and-retry after allocation faults) all fill rows through
+// the same compute_row helper, so the solver must see bit-identical Gram
+// values and produce bit-identical results.  These assert EXPECT_EQ on
+// doubles deliberately.
 
 TEST(GramCacheDegradedPaths, BudgetFailpointForcesUncachedIdenticalSolve) {
   Rng rng(58);
@@ -194,12 +184,12 @@ TEST(GramCacheDegradedPaths, BudgetFailpointForcesUncachedIdenticalSolve) {
                                      rng.normal(0.0, 1.0)});
     y.push_back(static_cast<signed char>(label));
   }
-  const auto cached = solve_through_cache(X, y, GramPrecision::kFloat32);
+  const auto cached = solve_through_cache(X, y);
 
   const auto before = obs::MetricsRegistry::instance().snapshot();
   fp::reset();
   fp::arm("gram_cache.budget", fp::Policy::parse("return"));
-  const auto degraded = solve_through_cache(X, y, GramPrecision::kFloat32);
+  const auto degraded = solve_through_cache(X, y);
   fp::reset();
   const auto after = obs::MetricsRegistry::instance().snapshot();
 
@@ -225,12 +215,12 @@ TEST(GramCacheDegradedPaths, AllocFaultsRecoverByEvictAndRetry) {
                                      rng.normal(0.0, 1.0)});
     y.push_back(static_cast<signed char>(label));
   }
-  const auto clean = solve_through_cache(X, y, GramPrecision::kFloat64);
+  const auto clean = solve_through_cache(X, y);
 
   const auto before = obs::MetricsRegistry::instance().snapshot();
   fp::reset();
   fp::arm("gram_cache.alloc", fp::Policy::parse("one_in(3):error(1)"), 11);
-  const auto faulted = solve_through_cache(X, y, GramPrecision::kFloat64);
+  const auto faulted = solve_through_cache(X, y);
   const auto triggers = fp::site_stats("gram_cache.alloc").triggers;
   fp::reset();
   const auto after = obs::MetricsRegistry::instance().snapshot();
@@ -293,26 +283,22 @@ TEST(KernelReuse, SharedCacheGridSearchMatchesPerCellRefits) {
   const std::vector<double> gammas{0.05, 0.5};
   const std::vector<double> cs{1.0, 10.0, 100.0};
 
-  for (const auto precision :
-       {GramPrecision::kFloat32, GramPrecision::kFloat64}) {
-    SvmGridSearchOptions reuse;
-    reuse.reuse_kernel_cache = true;
-    reuse.cache_precision = precision;
-    SvmGridSearchOptions refit = reuse;
-    refit.reuse_kernel_cache = false;
+  SvmGridSearchOptions reuse;
+  reuse.reuse_kernel_cache = true;
+  SvmGridSearchOptions refit = reuse;
+  refit.reuse_kernel_cache = false;
 
-    const auto with_reuse = svm_grid_search(ds, gammas, cs, reuse);
-    const auto with_refit = svm_grid_search(ds, gammas, cs, refit);
-    ASSERT_EQ(with_reuse.size(), with_refit.size());
-    // Reuse is pure plumbing: the per-γ shared cache hands every cell
-    // the same Gram values a per-cell cache would compute, so the table
-    // is bit-identical — including the best-first tie ordering.
-    for (std::size_t i = 0; i < with_reuse.size(); ++i) {
-      EXPECT_EQ(with_reuse[i].gamma, with_refit[i].gamma) << "point " << i;
-      EXPECT_EQ(with_reuse[i].c, with_refit[i].c) << "point " << i;
-      EXPECT_EQ(with_reuse[i].cv_accuracy, with_refit[i].cv_accuracy)
-          << "point " << i;
-    }
+  const auto with_reuse = svm_grid_search(ds, gammas, cs, reuse);
+  const auto with_refit = svm_grid_search(ds, gammas, cs, refit);
+  ASSERT_EQ(with_reuse.size(), with_refit.size());
+  // Reuse is pure plumbing: the per-γ shared cache hands every cell the
+  // same Gram values a per-cell cache would compute, so the table is
+  // bit-identical — including the best-first tie ordering.
+  for (std::size_t i = 0; i < with_reuse.size(); ++i) {
+    EXPECT_EQ(with_reuse[i].gamma, with_refit[i].gamma) << "point " << i;
+    EXPECT_EQ(with_reuse[i].c, with_refit[i].c) << "point " << i;
+    EXPECT_EQ(with_reuse[i].cv_accuracy, with_refit[i].cv_accuracy)
+        << "point " << i;
   }
 }
 
@@ -332,25 +318,6 @@ TEST(KernelReuse, FoldAssignmentIsSharedAcrossGridCells) {
   for (const auto& pt : large) {
     if (pt.gamma == 0.5 && pt.c == 10.0) {
       EXPECT_EQ(pt.cv_accuracy, small.front().cv_accuracy);
-    }
-  }
-}
-
-TEST(KernelReuse, PrecisionArmsProduceComparableTables) {
-  const auto ds = make_class_blobs(3, 40, 2, 5.0, 93);
-  const std::vector<double> gammas{0.05, 0.5};
-  const std::vector<double> cs{1.0, 100.0};
-  SvmGridSearchOptions f32;
-  SvmGridSearchOptions f64;
-  f64.cache_precision = GramPrecision::kFloat64;
-  const auto t32 = svm_grid_search(ds, gammas, cs, f32);
-  const auto t64 = svm_grid_search(ds, gammas, cs, f64);
-  ASSERT_EQ(t32.size(), t64.size());
-  for (const auto& a : t32) {
-    for (const auto& b : t64) {
-      if (a.gamma == b.gamma && a.c == b.c) {
-        EXPECT_NEAR(a.cv_accuracy, b.cv_accuracy, 0.05);
-      }
     }
   }
 }

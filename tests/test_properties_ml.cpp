@@ -52,6 +52,9 @@ TEST_P(SmoKktProperty, SolutionSatisfiesKkt) {
       out[j] = kernel(X.row(i), X.row(j));
     }
   };
+  problem.kernel_diag = [&](std::size_t i) {
+    return kernel(X.row(i), X.row(i));
+  };
   SmoConfig config;
   config.tolerance = 1e-4;
   const auto result = solve_smo(problem, config);

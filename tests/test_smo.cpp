@@ -34,6 +34,9 @@ struct LinearProblemFixture {
         out[j] = kernel(X.row(i), X.row(j));
       }
     };
+    prob.kernel_diag = [this](std::size_t i) {
+      return kernel(X.row(i), X.row(i));
+    };
     return prob;
   }
 
@@ -145,6 +148,9 @@ TEST(Smo, RbfSolvesNonlinearRing) {
       out[j] = kernel(X.row(i), X.row(j));
     }
   };
+  prob.kernel_diag = [&](std::size_t i) {
+    return kernel(X.row(i), X.row(i));
+  };
   const auto result = solve_smo(prob);
   EXPECT_TRUE(result.converged);
   // All training points classified correctly.
@@ -189,6 +195,9 @@ TEST(Smo, ValidatesInputs) {
   auto prob = fx.problem();
   prob.kernel_row = nullptr;
   EXPECT_THROW(solve_smo(prob), InvalidArgument);
+  auto no_diag = fx.problem();
+  no_diag.kernel_diag = nullptr;
+  EXPECT_THROW(solve_smo(no_diag), InvalidArgument);
 }
 
 // Shrinking must be a pure optimization: the shrunk and unshrunk solvers
@@ -272,6 +281,9 @@ TEST(Smo, ShrinkingHandlesIterationCapWhileShrunk) {
   prob.kernel_row = [&engine](std::size_t i, std::span<double> out) {
     engine.fill_row(i, out);
   };
+  prob.kernel_diag = [&](std::size_t i) {
+    return kernel(X.row(i), X.row(i));
+  };
   SmoConfig cfg;
   cfg.shrinking = true;
   cfg.shrink_interval = 5;
@@ -291,29 +303,23 @@ TEST(SharedGramCache, SlicedRowsMatchDirectComputation) {
                                      rng.normal(-1.0, 0.5)});
   }
   const Kernel kernel = Kernel::rbf(0.3);
-  // The float64 arm reproduces the scalar kernel exactly; the float32
-  // default is only one rounding away (well inside the SMO tolerance).
-  struct Arm {
-    GramPrecision precision;
-    double tol;
-  };
-  for (const auto arm : {Arm{GramPrecision::kFloat64, 1e-12},
-                         Arm{GramPrecision::kFloat32, 1e-6}}) {
-    SharedGramCache cache(X, kernel, 4, arm.precision);  // force evictions
-    for (std::size_t i = 0; i < X.rows(); ++i) {
-      const auto row = cache.row(i);
-      ASSERT_EQ(row->size(), X.rows());
-      for (std::size_t j = 0; j < X.rows(); ++j) {
-        EXPECT_NEAR((*row)[j], kernel(X.row(i), X.row(j)), arm.tol);
-      }
-      EXPECT_NEAR(cache.diagonal(i), kernel(X.row(i), X.row(i)), 1e-12);
+  // The float32 rows are one rounding away from the scalar kernel (well
+  // inside the SMO tolerance); the diagonal stays full precision.
+  constexpr double kTol = 1e-6;
+  SharedGramCache cache(X, kernel, 4);  // force evictions
+  for (std::size_t i = 0; i < X.rows(); ++i) {
+    const auto row = cache.row(i);
+    ASSERT_EQ(row->size(), X.rows());
+    for (std::size_t j = 0; j < X.rows(); ++j) {
+      EXPECT_NEAR((*row)[j], kernel(X.row(i), X.row(j)), kTol);
     }
-    // A row handed out before eviction stays valid afterwards.
-    const auto pinned = cache.row(0);
-    for (std::size_t i = 1; i < X.rows(); ++i) (void)cache.row(i);
-    EXPECT_NEAR((*pinned)[5], kernel(X.row(0), X.row(5)), arm.tol);
-    EXPECT_GT(cache.misses(), 0u);
+    EXPECT_NEAR(cache.diagonal(i), kernel(X.row(i), X.row(i)), 1e-12);
   }
+  // A row handed out before eviction stays valid afterwards.
+  const auto pinned = cache.row(0);
+  for (std::size_t i = 1; i < X.rows(); ++i) (void)cache.row(i);
+  EXPECT_NEAR((*pinned)[5], kernel(X.row(0), X.row(5)), kTol);
+  EXPECT_GT(cache.misses(), 0u);
 }
 
 TEST(KernelRowCache, ComputesAndCaches) {

@@ -255,7 +255,9 @@ TEST_F(SvmServiceTest, NonFiniteFeatureInsideABatchLeavesTheRestIdentical) {
 // values are NaN.  std::min/std::max passed the NaN on and the coupling
 // stopped at its uniform start: label 0 at p = 1/k, stored as
 // unresolved with no error.  The prediction must throw instead, and the
-// service fail that job alone.
+// service fail that job alone.  It finds that job by halving the failed
+// batch: at most 2⌈log₂ p⌉ + 1 batched predictions for p pending rows,
+// where predicting every row of the batch again alone would make one.
 TEST_F(SvmServiceTest, NonFiniteDecisionValueFailsTheJobAlone) {
   const auto jobs = jobs_of(500, Mix::kMixed);
   const std::size_t poisoned = 251;  // odd index: an unidentified job
@@ -279,8 +281,20 @@ TEST_F(SvmServiceTest, NonFiniteDecisionValueFailsTheJobAlone) {
 
       auto batch = jobs;
       batch[poisoned] = extreme;
+      std::size_t pending = 0;
+      for (const auto& job : batch) {
+        if (job.label_source != supremm::LabelSource::kIdentified) ++pending;
+      }
+      std::size_t max_batches = 1;  // 2⌈log₂ p⌉ + 1
+      for (std::size_t span = 1; span < pending; span *= 2) max_batches += 2;
+      auto& registry = obs::MetricsRegistry::instance();
+      const auto before = registry.snapshot();
       ClassificationService service(model.classifier, 0.5);
       const auto results = service.ingest_batch(std::move(batch));
+      const auto batches = registry.snapshot().counter("svm.predict.batches") -
+                           before.counter("svm.predict.batches");
+      EXPECT_GE(batches, 2u) << where;
+      EXPECT_LE(batches, max_batches) << where << ": " << pending << " pending";
       ASSERT_EQ(results.size(), jobs.size());
       EXPECT_EQ(results[poisoned].outcome, Outcome::kFailed) << where;
       EXPECT_EQ(results[poisoned].error, lone.error) << where;
