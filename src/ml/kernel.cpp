@@ -6,20 +6,40 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace xdmodml::ml {
 
 namespace {
 
-// Below this many multiply-adds a row is filled inline; above it the
-// sweep is fanned out across the thread pool.  ~32k flops is roughly
-// where chunk dispatch overhead drops below 10% on a 2-core box.
-constexpr std::size_t kParallelFlopThreshold = 32 * 1024;
-
-// Degrees up to this bound with integral values use exponentiation by
-// squaring instead of std::pow.
+// Integral polynomial degrees up to this bound use exponentiation by
+// squaring instead of std::pow, in operator() and in the row sweep.
 constexpr double kMaxIntegralDegree = 64.0;
+
+bool integral_degree(double degree) {
+  return degree > 0.0 && degree <= kMaxIntegralDegree &&
+         degree == std::floor(degree);
+}
+
+// What the SIMD sweep fuses onto its dots.  kDot leaves raw dots: linear
+// kernels, and fractional polynomial degrees, which finish() completes.
+simd::RowKernel row_kernel_of(const Kernel& kernel) {
+  simd::RowKernel rk;
+  rk.gamma = kernel.gamma;
+  rk.coef0 = kernel.coef0;
+  if (kernel.type == Kernel::Type::kRbf) {
+    rk.kind = simd::RowKernel::Kind::kRbf;
+  } else if (kernel.type == Kernel::Type::kPolynomial &&
+             integral_degree(kernel.degree)) {
+    rk.kind = simd::RowKernel::Kind::kPolyPowi;
+    rk.degree = static_cast<std::uint64_t>(kernel.degree);
+  }
+  return rk;
+}
+
+std::shared_ptr<const SupportVectorPool> pack(const Matrix& X) {
+  XDMODML_CHECK(!X.empty(), "GramRowEngine requires a non-empty matrix");
+  return std::make_shared<const SupportVectorPool>(X.data(), X.cols());
+}
 
 }  // namespace
 
@@ -56,10 +76,7 @@ double Kernel::operator()(std::span<const double> a,
       return std::exp(-gamma * squared_distance(a, b));
     case Type::kPolynomial: {
       const double base = gamma * dot(a, b) + coef0;
-      // Keep the scalar path bit-identical with the row path so the
-      // Gram-row engine reproduces operator() exactly.
-      if (degree > 0.0 && degree <= kMaxIntegralDegree &&
-          degree == std::floor(degree)) {
+      if (integral_degree(degree)) {
         return powi(base, static_cast<std::uint64_t>(degree));
       }
       return std::pow(base, degree);
@@ -93,114 +110,111 @@ std::string Kernel::name() const {
   return "?";
 }
 
-GramRowEngine::GramRowEngine(const Matrix& X, Kernel kernel)
-    : X_(&X), kernel_(kernel) {
-  XDMODML_CHECK(!X.empty(), "GramRowEngine requires a non-empty matrix");
-  sq_norms_ = X.row_squared_norms();
-  if (kernel_.type == Kernel::Type::kPolynomial &&
-      kernel_.degree > 0.0 && kernel_.degree <= kMaxIntegralDegree &&
-      kernel_.degree == std::floor(kernel_.degree)) {
-    integral_degree_ = true;
-    degree_int_ = static_cast<std::uint64_t>(kernel_.degree);
+SupportVectorPool::SupportVectorPool(std::span<const double> rows,
+                                     std::size_t dims)
+    : size_(dims == 0 ? 0 : rows.size() / dims), dims_(dims) {
+  XDMODML_CHECK(size_ > 0 && size_ <= 0xffffffffull &&
+                    rows.size() == size_ * dims,
+                "support-vector pool needs whole rows");
+  // Sized exactly, since a model keeps its pool; the last panel's
+  // missing rows are zero, with zero norms.
+  sq_norms_.assign(simd::panel_rows(size_), 0.0);
+  for (std::size_t j = 0; j < size_; ++j) {
+    sq_norms_[j] = simd::squared_norm(rows.data() + j * dims, dims);
+  }
+  panels_.assign(simd::panel_rows(size_) * dims, 0.0);
+  std::copy(rows.begin(), rows.end(), panels_.begin());
+  simd::pack_panels(panels_.data(), size_, dims);
+}
+
+void SupportVectorPool::row(std::size_t j, double* out) const {
+  const double* panel =
+      panels_.data() + j / simd::kPanelRows * simd::kPanelRows * dims_;
+  for (std::size_t f = 0; f < dims_; ++f) {
+    out[f] = panel[f * simd::kPanelRows + j % simd::kPanelRows];
   }
 }
 
-void GramRowEngine::fill_range(std::span<const double> x, double x_sq_norm,
-                               std::size_t lo, std::size_t hi,
-                               double* out) const {
-  const std::size_t d = X_->cols();
-  const double* base = X_->data().data();
+GramRowEngine::GramRowEngine(const Matrix& X, Kernel kernel)
+    : GramRowEngine(pack(X), kernel) {}
 
-  // Blocked dot-product sweep: each row is a contiguous d-length run
-  // fed to the SIMD dot microkernel (AVX2/FMA where dispatched, scalar
-  // otherwise).  The kernel transform runs as a second vectorized pass
-  // over the block — for RBF that is where the vectorized exp replaces
-  // the scalar std::exp that used to dominate the sweep.
-  constexpr std::size_t kBlock = 256;
-  for (std::size_t blk = lo; blk < hi; blk += kBlock) {
-    const std::size_t blk_end = std::min(hi, blk + kBlock);
-    const std::size_t blk_len = blk_end - blk;
-    simd::dot_rows(x.data(), base + blk * d, d, blk_len, out + blk);
-    switch (kernel_.type) {
-      case Kernel::Type::kLinear:
-        break;
-      case Kernel::Type::kRbf:
-        simd::rbf_row_transform(out + blk, sq_norms_.data() + blk, blk_len,
-                                x_sq_norm, kernel_.gamma);
-        break;
-      case Kernel::Type::kPolynomial: {
-        const double g = kernel_.gamma;
-        const double c0 = kernel_.coef0;
-        if (integral_degree_) {
-          simd::poly_row_transform_powi(out + blk, blk_len, g, c0,
-                                        degree_int_);
-        } else {
-          for (std::size_t j = blk; j < blk_end; ++j) {
-            out[j] = std::pow(g * out[j] + c0, kernel_.degree);
-          }
-        }
-        break;
-      }
-    }
+GramRowEngine::GramRowEngine(std::shared_ptr<const SupportVectorPool> pool,
+                             Kernel kernel)
+    : pool_(std::move(pool)),
+      kernel_(kernel),
+      row_kernel_(row_kernel_of(kernel)) {
+  XDMODML_CHECK(pool_ != nullptr, "GramRowEngine requires a pool");
+}
+
+double GramRowEngine::probe_sq_norm(const double* x) const {
+  return row_kernel_.kind == simd::RowKernel::Kind::kRbf
+             ? simd::squared_norm(x, pool_->dims())
+             : 0.0;
+}
+
+void GramRowEngine::finish(double* out, std::size_t n,
+                           std::size_t stride) const {
+  if (kernel_.type != Kernel::Type::kPolynomial ||
+      row_kernel_.kind == simd::RowKernel::Kind::kPolyPowi) {
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    double& v = out[j * stride];
+    v = std::pow(kernel_.gamma * v + kernel_.coef0, kernel_.degree);
   }
 }
 
 double GramRowEngine::diagonal(std::size_t i) const {
-  XDMODML_CHECK(i < X_->rows(), "GramRowEngine row index out of range");
+  XDMODML_CHECK(i < rows(), "GramRowEngine row index out of range");
+  const double sq = pool_->sq_norms()[i];
   switch (kernel_.type) {
     case Kernel::Type::kLinear:
-      return sq_norms_[i];
+      return sq;
     case Kernel::Type::kRbf:
       return 1.0;
     case Kernel::Type::kPolynomial: {
-      const double base = kernel_.gamma * sq_norms_[i] + kernel_.coef0;
-      return integral_degree_ ? powi(base, degree_int_)
-                              : std::pow(base, kernel_.degree);
+      const double base = kernel_.gamma * sq + kernel_.coef0;
+      return row_kernel_.kind == simd::RowKernel::Kind::kPolyPowi
+                 ? powi(base, row_kernel_.degree)
+                 : std::pow(base, kernel_.degree);
     }
   }
   return 0.0;  // unreachable
 }
 
 void GramRowEngine::fill_row(std::size_t i, std::span<double> out) const {
-  XDMODML_CHECK(i < X_->rows(), "GramRowEngine row index out of range");
-  fill_row_for(X_->row(i), out);
+  XDMODML_CHECK(i < rows(), "GramRowEngine row index out of range");
+  std::vector<double> x(pool_->dims());
+  pool_->row(i, x.data());
+  fill_row_for(x, out);
+  // Per-row granularity (one fill = n kernel values), so these adds
+  // are invisible next to the sweep itself.
+  auto& registry = obs::MetricsRegistry::instance();
+  static auto& rows_filled = registry.counter("gram_rows.filled");
+  static auto& elements = registry.counter("gram_rows.elements");
+  rows_filled.inc();
+  elements.inc(rows());
 }
 
 void GramRowEngine::fill_row_for(std::span<const double> x,
                                  std::span<double> out) const {
-  const std::size_t n = X_->rows();
-  XDMODML_CHECK(x.size() == X_->cols(),
+  const std::size_t n = rows();
+  XDMODML_CHECK(x.size() == pool_->dims(),
                 "GramRowEngine probe width mismatch");
   XDMODML_CHECK(out.size() >= n, "GramRowEngine output row too short");
-  {
-    // Per-row granularity (one fill = n kernel values), so these adds
-    // are invisible next to the sweep itself.  The ISA split feeds the
-    // bench trajectories: SIMD-vs-scalar dispatch mix per run.
-    auto& registry = obs::MetricsRegistry::instance();
-    static auto& rows_filled = registry.counter("gram_rows.filled");
-    static auto& elements = registry.counter("gram_rows.elements");
-    static auto& fills_avx2 = registry.counter("gram_rows.fill_avx2");
-    static auto& fills_scalar = registry.counter("gram_rows.fill_scalar");
-    rows_filled.inc();
-    elements.inc(n);
-    (simd::active() == simd::Isa::kAvx2 ? fills_avx2 : fills_scalar).inc();
+  simd::kernel_row_panels(x.data(), probe_sq_norm(x.data()), pool_->dims(),
+                          pool_->panels(), pool_->sq_norms(), n, row_kernel_,
+                          out.data());
+  finish(out.data(), n, 1);
+}
+
+void GramRowEngine::fill_tile(const double* queries_t, const double* x_sq,
+                              double* out) const {
+  simd::kernel_tile(queries_t, x_sq, pool_->dims(), pool_->panels(),
+                    pool_->sq_norms(), rows(), row_kernel_, out);
+  for (std::size_t q = 0; q < simd::kTileQueries; ++q) {
+    finish(out + q, rows(), simd::kTileQueries);
   }
-  double x_sq = 0.0;
-  if (kernel_.type == Kernel::Type::kRbf) {
-    for (const double v : x) x_sq += v * v;
-  }
-  const std::size_t d = std::max<std::size_t>(1, X_->cols());
-  // A single-worker pool would only add submit/wait overhead on top of
-  // the same serial sweep.
-  if (n * d < kParallelFlopThreshold || ThreadPool::global().size() <= 1) {
-    fill_range(x, x_sq, 0, n, out.data());
-    return;
-  }
-  const std::size_t grain = std::max<std::size_t>(1, kParallelFlopThreshold / d);
-  ThreadPool::global().parallel_for_ranges(
-      0, n, grain, [&](std::size_t lo, std::size_t hi) {
-        fill_range(x, x_sq, lo, hi, out.data());
-      });
 }
 
 }  // namespace xdmodml::ml

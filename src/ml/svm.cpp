@@ -393,6 +393,12 @@ Kernel read_kernel(io::TokenReader& reader) {
                 "corrupt SVM RBF gamma");
   kernel.degree = reader.read_double("degree");
   kernel.coef0 = reader.read_double("coef0");
+  // Kernel::polynomial's invariants.  Degree 0 makes every kernel value
+  // 1, so every query gets one label; a gamma <= 0 serves plausible but
+  // wrong probabilities.
+  XDMODML_CHECK(kernel.type != Kernel::Type::kPolynomial ||
+                    (kernel.degree > 0.0 && kernel.gamma > 0.0),
+                "corrupt SVM polynomial degree or gamma");
   return kernel;
 }
 

@@ -65,8 +65,6 @@ PlattSigmoid fit_platt_sigmoid(std::span<const double> decision_values,
 /// (Wu–Lin–Weng).  `pairwise(i, j)` for i < j is P(class i | {i, j}, x).
 std::vector<double> couple_pairwise_probabilities(const Matrix& pairwise);
 
-class SupportVectorPool;  // ml/svm_plan.hpp
-
 /// A single two-class soft-margin SVM.  Its support vectors are rows of
 /// a SupportVectorPool: a pool of its own after `fit` or `load`, or the
 /// pool every machine of an SvmClassifier shares.

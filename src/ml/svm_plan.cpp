@@ -1,8 +1,5 @@
 #include "ml/svm_plan.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/simd.hpp"
@@ -13,16 +10,11 @@ namespace {
 
 constexpr std::size_t kLanes = simd::kTileQueries;
 
-// Mirrors kernel.cpp: integral degrees up to this bound use
-// exponentiation by squaring (bit-identical to the scalar kernel path).
-constexpr double kMaxIntegralDegree = 64.0;
-
 struct PlanMetrics {
   obs::Gauge& unique_svs;
   obs::Gauge& total_svs;
   obs::Gauge& dedup_ratio_x1000;
   obs::Gauge& pool_bytes;
-  obs::Gauge& precision_bits;
   obs::Counter& builds;
 
   static PlanMetrics& instance() {
@@ -31,7 +23,6 @@ struct PlanMetrics {
                          reg.gauge("svm.plan.total_svs"),
                          reg.gauge("svm.plan.dedup_ratio_x1000"),
                          reg.gauge("svm.plan.pool_bytes"),
-                         reg.gauge("svm.plan.precision_bits"),
                          reg.counter("svm.plan.builds")};
     return m;
   }
@@ -51,53 +42,18 @@ void count_queries(std::size_t queries, std::size_t unique) {
 
 }  // namespace
 
-SupportVectorPool::SupportVectorPool(std::span<const double> rows,
-                                     std::size_t dims)
-    : size_(dims == 0 ? 0 : rows.size() / dims), dims_(dims) {
-  XDMODML_CHECK(size_ > 0 && size_ <= 0xffffffffull &&
-                    rows.size() == size_ * dims,
-                "support-vector pool needs whole rows");
-  // Sized exactly, since a model keeps its pool; the last panel's
-  // missing rows are zero, with zero norms.
-  sq_norms_.assign(simd::panel_rows(size_), 0.0);
-  for (std::size_t j = 0; j < size_; ++j) {
-    sq_norms_[j] = simd::squared_norm(rows.data() + j * dims, dims);
-  }
-  panels_.assign(simd::panel_rows(size_) * dims, 0.0);
-  std::copy(rows.begin(), rows.end(), panels_.begin());
-  simd::pack_panels(panels_.data(), size_, dims);
-}
-
-void SupportVectorPool::row(std::size_t j, double* out) const {
-  const double* panel =
-      panels_.data() + j / simd::kPanelRows * simd::kPanelRows * dims_;
-  for (std::size_t f = 0; f < dims_; ++f) {
-    out[f] = panel[f * simd::kPanelRows + j % simd::kPanelRows];
-  }
-}
+SvmInferencePlan::SvmInferencePlan(
+    std::shared_ptr<const SupportVectorPool> pool, const Kernel& kernel)
+    : engine_(std::move(pool), kernel) {}
 
 std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
     std::span<const BinarySvm> machines) {
   XDMODML_CHECK(!machines.empty() && machines[0].pool() != nullptr,
                 "inference plan needs trained machines");
 
-  auto plan = std::shared_ptr<SvmInferencePlan>(new SvmInferencePlan());
-  plan->kernel_ = machines[0].kernel();
-  plan->pool_ = machines[0].pool();
-  plan->dims_ = plan->pool_->dims();
-  plan->unique_ = plan->pool_->size();
-  const Kernel& kern = plan->kernel_;
-  auto& rk = plan->row_kernel_;
-  rk.gamma = kern.gamma;
-  rk.coef0 = kern.coef0;
-  if (kern.type == Kernel::Type::kRbf) {
-    rk.kind = simd::RowKernel::Kind::kRbf;
-  } else if (kern.type == Kernel::Type::kPolynomial && kern.degree > 0.0 &&
-             kern.degree <= kMaxIntegralDegree &&
-             kern.degree == std::floor(kern.degree)) {
-    rk.kind = simd::RowKernel::Kind::kPolyPowi;
-    rk.degree = static_cast<std::uint64_t>(kern.degree);
-  }
+  auto plan = std::shared_ptr<SvmInferencePlan>(
+      new SvmInferencePlan(machines[0].pool(), machines[0].kernel()));
+  const Kernel& kern = plan->kernel();
 
   // Every one-vs-one machine of a model shares one kernel and one pool;
   // a mixed set cannot share a pool row sweep.
@@ -107,7 +63,7 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
     XDMODML_CHECK(k.type == kern.type && k.gamma == kern.gamma &&
                       k.degree == kern.degree && k.coef0 == kern.coef0,
                   "inference plan requires one kernel across machines");
-    XDMODML_CHECK(m.pool() == plan->pool_,
+    XDMODML_CHECK(m.pool().get() == &plan->engine_.pool(),
                   "inference plan requires one support-vector pool");
     plan->total_ += m.num_support_vectors();
     MachineSlice slice;
@@ -125,53 +81,29 @@ std::shared_ptr<const SvmInferencePlan> SvmInferencePlan::build(
   }
 
   auto& metrics = PlanMetrics::instance();
-  metrics.unique_svs.set(static_cast<std::int64_t>(plan->unique_));
+  metrics.unique_svs.set(
+      static_cast<std::int64_t>(plan->unique_support_vectors()));
   metrics.total_svs.set(static_cast<std::int64_t>(plan->total_));
   metrics.dedup_ratio_x1000.set(
       static_cast<std::int64_t>(plan->dedup_ratio() * 1000.0));
   metrics.pool_bytes.set(static_cast<std::int64_t>(plan->pool_bytes()));
-  metrics.precision_bits.set(64);
   metrics.builds.inc();
   return plan;
 }
 
 double SvmInferencePlan::dedup_ratio() const {
-  return unique_ == 0 ? 0.0
-                      : static_cast<double>(total_) /
-                            static_cast<double>(unique_);
+  return static_cast<double>(total_) /
+         static_cast<double>(unique_support_vectors());
 }
 
 std::size_t SvmInferencePlan::pool_bytes() const {
-  return unique_ * dims_ * sizeof(double);
-}
-
-double SvmInferencePlan::query_sq_norm(const double* x) const {
-  return row_kernel_.kind == simd::RowKernel::Kind::kRbf
-             ? simd::squared_norm(x, dims_)
-             : 0.0;
-}
-
-void SvmInferencePlan::finish_pow(double* out, std::size_t n,
-                                  std::size_t stride) const {
-  if (kernel_.type != Kernel::Type::kPolynomial ||
-      row_kernel_.kind == simd::RowKernel::Kind::kPolyPowi) {
-    return;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    double& v = out[j * stride];
-    v = std::pow(kernel_.gamma * v + kernel_.coef0, kernel_.degree);
-  }
+  return unique_support_vectors() * dims() * sizeof(double);
 }
 
 void SvmInferencePlan::kernel_row(std::span<const double> x,
                                   std::span<double> out) const {
-  XDMODML_CHECK(x.size() == dims_, "kernel_row probe width mismatch");
-  XDMODML_CHECK(out.size() >= unique_, "kernel_row output too small");
-  count_queries(1, unique_);
-  simd::kernel_row_panels(x.data(), query_sq_norm(x.data()), dims_,
-                          pool_->panels(), pool_->sq_norms(), unique_,
-                          row_kernel_, out.data());
-  finish_pow(out.data(), unique_, 1);
+  engine_.fill_row_for(x, out);
+  count_queries(1, unique_support_vectors());
 }
 
 double SvmInferencePlan::decision_value(std::size_t idx,
@@ -187,34 +119,32 @@ double SvmInferencePlan::decision_value(std::size_t idx,
 
 SvmInferencePlan::Tile SvmInferencePlan::make_tile() const {
   Tile tile;
-  tile.queries_t.assign(dims_ * kLanes, 0.0);
+  tile.queries_t.assign(dims() * kLanes, 0.0);
   tile.x_sq.assign(kLanes, 0.0);
-  tile.krows.assign(simd::panel_rows(unique_) * kLanes, 0.0);
+  tile.krows.assign(simd::panel_rows(unique_support_vectors()) * kLanes, 0.0);
   return tile;
 }
 
 void SvmInferencePlan::kernel_tile(const double* queries, std::size_t b,
                                    Tile& tile) const {
+  const std::size_t unique = unique_support_vectors();
+  const std::size_t d = dims();
   XDMODML_CHECK(b >= 1 && b <= kLanes, "kernel_tile takes 1 to 8 queries");
-  XDMODML_CHECK(tile.krows.size() == simd::panel_rows(unique_) * kLanes &&
-                    tile.queries_t.size() == dims_ * kLanes,
+  XDMODML_CHECK(tile.krows.size() == simd::panel_rows(unique) * kLanes &&
+                    tile.queries_t.size() == d * kLanes,
                 "kernel_tile scratch from another plan");
-  count_queries(b, unique_);
+  count_queries(b, unique);
   // Transpose the block into feature-major lanes; unused lanes are the
   // zero vector.
   for (std::size_t q = 0; q < kLanes; ++q) {
-    const double* x = q < b ? queries + q * dims_ : nullptr;
-    for (std::size_t f = 0; f < dims_; ++f) {
+    const double* x = q < b ? queries + q * d : nullptr;
+    for (std::size_t f = 0; f < d; ++f) {
       tile.queries_t[f * kLanes + q] = x != nullptr ? x[f] : 0.0;
     }
-    tile.x_sq[q] = x != nullptr ? query_sq_norm(x) : 0.0;
+    tile.x_sq[q] = x != nullptr ? engine_.probe_sq_norm(x) : 0.0;
   }
-  simd::kernel_tile(tile.queries_t.data(), tile.x_sq.data(), dims_,
-                    pool_->panels(), pool_->sq_norms(), unique_, row_kernel_,
+  engine_.fill_tile(tile.queries_t.data(), tile.x_sq.data(),
                     tile.krows.data());
-  for (std::size_t q = 0; q < kLanes; ++q) {
-    finish_pow(tile.krows.data() + q, unique_, kLanes);
-  }
 }
 
 void SvmInferencePlan::decision_values(const Tile& tile, double* out) const {

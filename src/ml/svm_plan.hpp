@@ -6,13 +6,12 @@
 // classifier).  A training row that supports many of the k(k−1)/2
 // one-vs-one machines would have K(x, row) recomputed once per machine
 // if each machine walked its own rows.  So a model stores each support
-// vector once, in one `SupportVectorPool` its machines index into (as
-// LIBSVM's multi-class model does), and the plan serves from that pool:
-//  * the pool is stored panel-major (8 rows per panel, feature-major
-//    inside; see util/simd.hpp) with per-row squared norms precomputed;
-//  * prediction computes ONE fused kernel row K(x, pool) through the
-//    runtime-dispatched SIMD microkernels (util/simd.hpp; the scalar
-//    table serves XDMODML_SIMD=scalar builds/CPUs);
+// vector once, in one `SupportVectorPool` (ml/kernel.hpp) its machines
+// index into (as LIBSVM's multi-class model does), and the plan serves
+// from that pool:
+//  * prediction computes ONE fused kernel row K(x, pool) through a
+//    GramRowEngine over the pool — the sweep SMO's Gram rows take at
+//    training time, so fit and serve compute each element alike;
 //  * each one-vs-one machine reduces its decision value as a sparse
 //    coefficient dot over indices into that shared row;
 //  * a batched entry point evaluates a tile of up to 8 queries per pool
@@ -34,33 +33,11 @@
 #include <span>
 #include <vector>
 
+#include "ml/kernel.hpp"
 #include "ml/svm.hpp"
 #include "util/simd.hpp"
 
 namespace xdmodml::ml {
-
-/// Support-vector rows stored once for every machine of a model:
-/// panel-major (util/simd.hpp), zero-padded to whole panels, with each
-/// row's squared norm precomputed.  Immutable; machines and plans share
-/// it through a shared_ptr.
-class SupportVectorPool {
- public:
-  /// Packs `rows` — row-major, `dims` values per row.
-  SupportVectorPool(std::span<const double> rows, std::size_t dims);
-
-  std::size_t size() const { return size_; }
-  std::size_t dims() const { return dims_; }
-  /// Copies row j into out[0, dims()).
-  void row(std::size_t j, double* out) const;
-  const double* panels() const { return panels_.data(); }
-  const double* sq_norms() const { return sq_norms_.data(); }
-
- private:
-  std::size_t size_ = 0;
-  std::size_t dims_ = 0;
-  std::vector<double> panels_;
-  std::vector<double> sq_norms_;
-};
 
 /// Immutable compiled inference plan over one model's one-vs-one
 /// machines.  SvmClassifier builds it at fit and at load; copies of the
@@ -83,22 +60,23 @@ class SvmInferencePlan {
   static std::shared_ptr<const SvmInferencePlan> build(
       std::span<const BinarySvm> machines);
 
-  std::size_t unique_support_vectors() const { return unique_; }
+  std::size_t unique_support_vectors() const { return engine_.rows(); }
   std::size_t total_support_vectors() const { return total_; }
   /// total / unique — how many machines the average pool row serves.
   double dedup_ratio() const;
-  std::size_t dims() const { return dims_; }
+  std::size_t dims() const { return engine_.pool().dims(); }
   /// Bytes of support-vector payload in the pool (f64 coordinates; the
   /// last panel's zero padding is not counted).
   std::size_t pool_bytes() const;
-  const Kernel& kernel() const { return kernel_; }
+  const Kernel& kernel() const { return engine_.kernel(); }
   std::size_t num_machines() const { return machines_.size(); }
   const MachineSlice& machine(std::size_t idx) const {
     return machines_[idx];
   }
 
-  /// out[j] = k(x, pool_j) for j in [0, unique_support_vectors()).
-  /// One fused SIMD sweep; out.size() must be >= the pool size.
+  /// out[j] = k(x, pool_j) for j in [0, unique_support_vectors()):
+  /// GramRowEngine::fill_row_for over the pool; out.size() must be >=
+  /// the pool size.
   void kernel_row(std::span<const double> x, std::span<double> out) const;
 
   /// Decision value of machine `idx` against a kernel row produced by
@@ -129,22 +107,13 @@ class SvmInferencePlan {
   void decision_values(const Tile& tile, double* out) const;
 
  private:
-  SvmInferencePlan() = default;
+  SvmInferencePlan(std::shared_ptr<const SupportVectorPool> pool,
+                   const Kernel& kernel);
   // ovo_ points into machines_, so a plan is never copied.
   SvmInferencePlan(const SvmInferencePlan&) = delete;
   SvmInferencePlan& operator=(const SvmInferencePlan&) = delete;
 
-  /// ‖x‖² where the kernel reads it (RBF), else 0.
-  double query_sq_norm(const double* x) const;
-  /// Finishes non-integral polynomial kernels, which the SIMD kernels
-  /// leave as raw dots: out[j·stride] = (γ·dot + c0)^degree, j < n.
-  void finish_pow(double* out, std::size_t n, std::size_t stride) const;
-
-  Kernel kernel_;
-  simd::RowKernel row_kernel_;     ///< what the SIMD kernels fuse
-  std::shared_ptr<const SupportVectorPool> pool_;
-  std::size_t dims_ = 0;
-  std::size_t unique_ = 0;
+  GramRowEngine engine_;  ///< over the machines' shared pool
   std::size_t total_ = 0;
   std::vector<MachineSlice> machines_;
   std::vector<simd::OvoMachine> ovo_;  ///< views of machines_ for the reduce

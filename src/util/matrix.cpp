@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/simd.hpp"
 
 namespace xdmodml {
 
@@ -37,15 +36,6 @@ void Matrix::append_row(std::span<const double> values) {
   XDMODML_CHECK(values.size() == cols_, "appended row has wrong width");
   data_.insert(data_.end(), values.begin(), values.end());
   ++rows_;
-}
-
-std::vector<double> Matrix::row_squared_norms() const {
-  std::vector<double> norms(rows_, 0.0);
-  const double* base = data_.data();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    norms[r] = simd::squared_norm(base + r * cols_, cols_);
-  }
-  return norms;
 }
 
 Matrix Matrix::gather_rows(std::span<const std::size_t> indices) const {

@@ -56,12 +56,6 @@ class Matrix {
   /// Appends a row (must match cols(), or sets cols() when empty).
   void append_row(std::span<const double> values);
 
-  /// Squared Euclidean norm of every row (‖xᵢ‖² for i in [0, rows)).
-  /// One SIMD-microkernel pass over the contiguous storage; the Gram-row
-  /// engine computes this once per fit and reuses it for every RBF
-  /// kernel row.
-  std::vector<double> row_squared_norms() const;
-
   /// Returns a new matrix containing the given rows, in order.
   Matrix gather_rows(std::span<const std::size_t> indices) const;
 

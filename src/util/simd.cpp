@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "util/simd_ops.hpp"
@@ -14,19 +15,6 @@ namespace xdmodml::simd {
 namespace detail {
 
 namespace {
-
-double dot_scalar(const double* a, const double* b, std::size_t n) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-void dot_rows_scalar(const double* x, const double* rows, std::size_t d,
-                     std::size_t n_rows, double* out) {
-  for (std::size_t j = 0; j < n_rows; ++j) {
-    out[j] = dot_scalar(x, rows + j * d, d);
-  }
-}
 
 double squared_norm_scalar(const double* x, std::size_t n) {
   double s = 0.0;
@@ -38,49 +26,92 @@ void exp_inplace_scalar(double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = std::exp(x[i]);
 }
 
-void rbf_row_transform_scalar(double* dots, const double* sq_norms,
-                              std::size_t n, double x_sq, double gamma) {
-  for (std::size_t j = 0; j < n; ++j) {
-    dots[j] = std::exp(-gamma * clamped_sq_dist(x_sq, sq_norms[j], dots[j]));
+// The kernel applied to one element's dot.  Both entry points finish
+// through this after summing the dot feature by feature from zero, so a
+// query's element is one arithmetic sequence wherever it sits.
+template <RowKernel::Kind K>
+double finish_dot(double dot, double x_sq, double sq_norm,
+                  const RowKernel& kernel) {
+  if constexpr (K == RowKernel::Kind::kRbf) {
+    return std::exp(-kernel.gamma * clamped_sq_dist(x_sq, sq_norm, dot));
+  } else if constexpr (K == RowKernel::Kind::kPolyPowi) {
+    return powi(kernel.gamma * dot + kernel.coef0, kernel.degree);
+  } else {
+    return dot;
   }
 }
 
-void poly_row_transform_powi_scalar(double* dots, std::size_t n, double gamma,
-                                    double coef0, std::uint64_t degree) {
-  for (std::size_t j = 0; j < n; ++j) {
-    dots[j] = powi(gamma * dots[j] + coef0, degree);
-  }
-}
+// Two doubles, element-wise: one SSE2/NEON register where the baseline
+// ISA has one, two scalars elsewhere.  Each lane rounds every multiply
+// and add alone, so a lane's bits are those of the plain loop.
+using Pair = double __attribute__((vector_size(2 * sizeof(double))));
 
-// One serving element: query x (features `x_stride` apart) against row
-// r of a panel, then the kernel.  Both serving entry points call this,
-// so a query's element is one arithmetic sequence wherever it sits.
-double panel_element(const double* x, std::size_t x_stride,
-                     const double* panel, std::size_t r, std::size_t d,
-                     double x_sq, double sq_norm, const RowKernel& kernel) {
-  double dot = 0.0;
+// dot[i] = Σ_f a[f·8 + i] · b[f·b_stride] for i < 8, each summed feature
+// by feature from zero as 8 independent chains.  (Written as a loop over
+// dot[i], GCC 12 vectorizes the feature loop as in-order reductions and
+// runs slower than one chain at a time.)
+void dots8(const double* a, const double* b, std::size_t b_stride,
+           std::size_t d, double* dot) {
+  Pair acc[4] = {};
   for (std::size_t f = 0; f < d; ++f) {
-    dot += x[f * x_stride] * panel[f * kPanelRows + r];
+    const Pair bf = {b[f * b_stride], b[f * b_stride]};
+    for (std::size_t h = 0; h < 4; ++h) {
+      Pair v;
+      std::memcpy(&v, a + f * 8 + 2 * h, sizeof v);
+      acc[h] += bf * v;
+    }
   }
-  switch (kernel.kind) {
-    case RowKernel::Kind::kDot:
-      break;
-    case RowKernel::Kind::kRbf:
-      return std::exp(-kernel.gamma * clamped_sq_dist(x_sq, sq_norm, dot));
-    case RowKernel::Kind::kPolyPowi:
-      return powi(kernel.gamma * dot + kernel.coef0, kernel.degree);
+  std::memcpy(dot, acc, sizeof acc);
+}
+static_assert(kPanelRows == 8 && kTileQueries == 8, "dots8 serves both");
+
+// A panel's 8 rows against the query.
+template <RowKernel::Kind K>
+void row_panels(const double* x, double x_sq, std::size_t d,
+                const double* panels, const double* sq_norms,
+                std::size_t n_rows, const RowKernel& kernel, double* out) {
+  for (std::size_t j0 = 0; j0 < n_rows; j0 += kPanelRows) {
+    double dot[kPanelRows];
+    dots8(panels + j0 * d, x, 1, d, dot);
+    const std::size_t rows = std::min(kPanelRows, n_rows - j0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[j0 + r] = finish_dot<K>(dot[r], x_sq, sq_norms[j0 + r], kernel);
+    }
   }
-  return dot;
+}
+
+// A pool row against the tile's 8 queries.
+template <RowKernel::Kind K>
+void tile_panels(const double* queries_t, const double* x_sq, std::size_t d,
+                 const double* panels, const double* sq_norms,
+                 std::size_t n_rows, const RowKernel& kernel, double* out) {
+  for (std::size_t j = 0; j < panel_rows(n_rows); ++j) {
+    double dot[kTileQueries];
+    dots8(queries_t,
+          panels + j / kPanelRows * d * kPanelRows + j % kPanelRows,
+          kPanelRows, d, dot);
+    for (std::size_t q = 0; q < kTileQueries; ++q) {
+      out[j * kTileQueries + q] =
+          finish_dot<K>(dot[q], x_sq[q], sq_norms[j], kernel);
+    }
+  }
 }
 
 void kernel_row_panels_scalar(const double* x, double x_sq, std::size_t d,
                               const double* panels, const double* sq_norms,
                               std::size_t n_rows, const RowKernel& kernel,
                               double* out) {
-  for (std::size_t j = 0; j < n_rows; ++j) {
-    const double* panel = panels + (j / kPanelRows) * d * kPanelRows;
-    out[j] = panel_element(x, 1, panel, j % kPanelRows, d, x_sq, sq_norms[j],
-                           kernel);
+  using Kind = RowKernel::Kind;
+  switch (kernel.kind) {
+    case Kind::kDot:
+      return row_panels<Kind::kDot>(x, x_sq, d, panels, sq_norms, n_rows,
+                                    kernel, out);
+    case Kind::kRbf:
+      return row_panels<Kind::kRbf>(x, x_sq, d, panels, sq_norms, n_rows,
+                                    kernel, out);
+    case Kind::kPolyPowi:
+      return row_panels<Kind::kPolyPowi>(x, x_sq, d, panels, sq_norms, n_rows,
+                                         kernel, out);
   }
 }
 
@@ -88,13 +119,17 @@ void kernel_tile_scalar(const double* queries_t, const double* x_sq,
                         std::size_t d, const double* panels,
                         const double* sq_norms, std::size_t n_rows,
                         const RowKernel& kernel, double* out) {
-  for (std::size_t j = 0; j < panel_rows(n_rows); ++j) {
-    const double* panel = panels + (j / kPanelRows) * d * kPanelRows;
-    for (std::size_t q = 0; q < kTileQueries; ++q) {
-      out[j * kTileQueries + q] =
-          panel_element(queries_t + q, kTileQueries, panel, j % kPanelRows, d,
-                        x_sq[q], sq_norms[j], kernel);
-    }
+  using Kind = RowKernel::Kind;
+  switch (kernel.kind) {
+    case Kind::kDot:
+      return tile_panels<Kind::kDot>(queries_t, x_sq, d, panels, sq_norms,
+                                     n_rows, kernel, out);
+    case Kind::kRbf:
+      return tile_panels<Kind::kRbf>(queries_t, x_sq, d, panels, sq_norms,
+                                     n_rows, kernel, out);
+    case Kind::kPolyPowi:
+      return tile_panels<Kind::kPolyPowi>(queries_t, x_sq, d, panels,
+                                          sq_norms, n_rows, kernel, out);
   }
 }
 
@@ -119,12 +154,8 @@ void ovo_reduce_tile_scalar(const double* block, const OvoMachine* machines,
 }  // namespace
 
 const Ops* scalar_ops() {
-  static constexpr Ops ops{dot_scalar,
-                           dot_rows_scalar,
-                           squared_norm_scalar,
+  static constexpr Ops ops{squared_norm_scalar,
                            exp_inplace_scalar,
-                           rbf_row_transform_scalar,
-                           poly_row_transform_powi_scalar,
                            kernel_row_panels_scalar,
                            kernel_tile_scalar,
                            ovo_reduce_tile_scalar};
@@ -225,30 +256,11 @@ std::optional<Isa> isa_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-double dot(const double* a, const double* b, std::size_t n) {
-  return ops()->dot(a, b, n);
-}
-
-void dot_rows(const double* x, const double* rows, std::size_t d,
-              std::size_t n_rows, double* out) {
-  ops()->dot_rows(x, rows, d, n_rows, out);
-}
-
 double squared_norm(const double* x, std::size_t n) {
   return ops()->squared_norm(x, n);
 }
 
 void exp_inplace(double* x, std::size_t n) { ops()->exp_inplace(x, n); }
-
-void rbf_row_transform(double* dots, const double* sq_norms, std::size_t n,
-                       double x_sq, double gamma) {
-  ops()->rbf_row_transform(dots, sq_norms, n, x_sq, gamma);
-}
-
-void poly_row_transform_powi(double* dots, std::size_t n, double gamma,
-                             double coef0, std::uint64_t degree) {
-  ops()->poly_row_transform_powi(dots, n, gamma, coef0, degree);
-}
 
 void pack_panels(double* rows, std::size_t n_rows, std::size_t d) {
   // Each 8-row block transposes through a scratch copy of itself: row r,

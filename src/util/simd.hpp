@@ -1,17 +1,18 @@
 // SIMD microkernel layer with runtime CPU dispatch.
 //
-// The SVM training hot path spends nearly all of its time in two loops:
-// the blocked dot-product sweep that turns a probe row into raw inner
-// products against every training row, and the kernel transform that
-// maps those inner products through exp / powi.  Auto-vectorization
-// covers the dot pass reasonably well but leaves the transform pass on
-// scalar `std::exp`, which caps the raw RBF sweep speedup.  This header
-// exposes the handful of microkernels both passes need:
+// Every kernel row the library computes in bulk goes through the fused
+// panel kernels below: SMO's Gram rows at training time and the SVM
+// plan's rows at serving time (ml::GramRowEngine, ml/kernel.hpp), and
+// the plan's batched query tiles (ml/svm_plan.hpp).  Each element is a
+// dot product accumulated feature by feature against a panel-major row
+// pool, then the kernel transform (exp / powi) on the same registers.
+// This header exposes:
 //
-//   * dot / squared_norm   — FMA-chained reductions over contiguous rows;
-//   * exp_inplace          — vectorized exp (Cephes-style polynomial);
-//   * rbf_row_transform    — dots → exp(−γ·clamped ‖x−xⱼ‖²) in one pass;
-//   * poly_row_transform_powi — dots → (γ·dot + c0)^degree, integral degree.
+//   * squared_norm      — FMA-chained reduction over a contiguous row;
+//   * exp_inplace       — vectorized exp (Cephes-style polynomial);
+//   * kernel_row_panels — one query against a panel-major pool;
+//   * kernel_tile       — kTileQueries queries against the pool at once;
+//   * ovo_reduce_tile   — every one-vs-one machine over a tile.
 //
 // Each call dispatches through a function-pointer table selected ONCE at
 // startup from cpuid (AVX2 + FMA today; a scalar fallback always exists,
@@ -56,10 +57,12 @@ inline constexpr std::size_t kMaxLanes = 4;
 /// the result a hair negative for near-identical rows.  Every transform
 /// path — scalar and SIMD alike — clamps through this one helper (the
 /// AVX2 kernel mirrors it lane-wise with max(0, ·)) so the two cannot
-/// drift.
+/// drift.  A NaN (an overflowed expansion reading inf − inf) passes
+/// through, as it does AVX2's max, so an overflowed query gives a NaN
+/// kernel value on both tables rather than distance 0 on one.
 inline double clamped_sq_dist(double x_sq, double y_sq, double xy) {
   const double d2 = x_sq + y_sq - 2.0 * xy;
-  return d2 > 0.0 ? d2 : 0.0;
+  return d2 < 0.0 ? 0.0 : d2;
 }
 
 /// base^exp by squaring — shared by the scalar kernel paths and the
@@ -99,36 +102,15 @@ std::optional<Isa> isa_from_string(std::string_view name);
 
 // ---- microkernels (dispatch through the active ISA) -----------------
 
-/// Σ a[i]·b[i].
-double dot(const double* a, const double* b, std::size_t n);
-
-/// Blocked dot sweep against contiguous row-major storage:
-///   out[j] = x · rows[j·d .. j·d+d)  for j in [0, n_rows).
-/// One dispatch for the whole block (the AVX2 path processes four rows
-/// per pass, reusing the probe vector from registers) — this is the
-/// Gram-row engine's dot pass.
-void dot_rows(const double* x, const double* rows, std::size_t d,
-              std::size_t n_rows, double* out);
-
 /// Σ x[i]².
 double squared_norm(const double* x, std::size_t n);
 
 /// x[i] = exp(x[i]) for i in [0, n) — see the accuracy contract above.
 void exp_inplace(double* x, std::size_t n);
 
-/// RBF transform over a block of raw inner products:
-///   dots[j] = exp(−gamma · clamped_sq_dist(x_sq, sq_norms[j], dots[j]))
-void rbf_row_transform(double* dots, const double* sq_norms, std::size_t n,
-                       double x_sq, double gamma);
-
-/// Integral-degree polynomial transform over a block of inner products:
-///   dots[j] = powi(gamma · dots[j] + coef0, degree)
-void poly_row_transform_powi(double* dots, std::size_t n, double gamma,
-                             double coef0, std::uint64_t degree);
-
-// ---- serving kernels: panel-major pool, query tiles, batched reduce ---
+// ---- kernel rows: panel-major pool, query tiles, batched reduce -------
 //
-// The compiled SVM plan (ml/svm_plan.hpp) stores its support-vector pool
+// A row pool (ml::SupportVectorPool, ml/kernel.hpp) is stored
 // panel-major: panel p holds pool rows [8p, 8p + 8) feature-major, so
 // element (row 8p + r, feature f) sits at panels[(p·d + f)·8 + r], and
 // the last panel is zero-padded (as is the row-norm array) to whole

@@ -76,10 +76,10 @@ TEST(Kernel, PowiMatchesStdPow) {
   EXPECT_DOUBLE_EQ(powi(-2.0, 3), -8.0);
 }
 
-// 1e-12, relative for kernel values above 1: the SIMD dot reduction
-// orders its partial sums differently from the naive scalar loop, so
-// large polynomial/linear kernel values agree to ULPs (relative error),
-// not to an absolute 1e-12.
+// 1e-12, relative for kernel values above 1: the SIMD sweep expands
+// ‖x − y‖² through the norms and fuses its multiply-adds, so large
+// polynomial/linear kernel values agree with the naive scalar loop to
+// ULPs (relative error), not to an absolute 1e-12.
 double row_tolerance(double expected) {
   return 1e-12 * std::max(1.0, std::abs(expected));
 }

@@ -51,7 +51,9 @@ Dataset make_class_blobs(int classes, std::size_t per_class,
     }
   }
   for (std::size_t d = 0; d < dims; ++d) {
-    ds.feature_names.push_back("f" + std::to_string(d));
+    std::string name = "f";
+    name += std::to_string(d);
+    ds.feature_names.push_back(std::move(name));
   }
   return ds;
 }

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/job_classifier.hpp"
 #include "ml/model_io.hpp"
@@ -397,6 +400,48 @@ TEST(ModelIo, RbfGammaMustBePositive) {
   svr.fit(X, y);
   std::istringstream in(with_value(saved(svr), "gamma", "-5"));
   EXPECT_THROW(ml::SvmRegressor::load(in), InvalidArgument);
+}
+
+TEST(ModelIo, PolynomialDegreeAndGammaMustBePositive) {
+  // degree 0 loaded and gave every query the same label (every kernel
+  // value 1); gamma -0.5 loaded and served wrong probabilities.
+  const std::vector<std::pair<const char*, const char*>> edits{
+      {"degree", "0"}, {"degree", "-3"}, {"gamma", "-0.5"}, {"gamma", "0"}};
+  auto ds = blob_dataset(20);
+  for (auto& label : ds.labels) label = label == 0 ? 0 : 1;
+  ml::SvmConfig cfg;
+  cfg.kernel = ml::Kernel::polynomial(2.0, 0.5, 1.0);
+  ml::SvmClassifier svm(cfg, 3);
+  svm.fit(ds.X, ds.labels, 2);
+  const auto svm_text = saved(svm);
+  for (const auto& [tag, value] : edits) {
+    SCOPED_TRACE(std::string(tag) + " " + value);
+    std::istringstream in(with_value(svm_text, tag, value));
+    EXPECT_THROW(ml::SvmClassifier::load(in), InvalidArgument);
+  }
+  // A fractional degree is a valid polynomial kernel.
+  std::istringstream fractional(with_value(svm_text, "degree", "2.5"));
+  EXPECT_EQ(ml::SvmClassifier::load(fractional).num_machines(), 1u);
+
+  Rng rng(45);
+  Matrix X;
+  std::vector<double> y;
+  for (int i = 0; i < 40; ++i) {
+    const double a = rng.uniform(-2.0, 2.0);
+    X.append_row(std::vector<double>{a});
+    y.push_back(a * a);
+  }
+  ml::SvmRegressor svr(cfg);
+  svr.fit(X, y);
+  const auto svr_text = saved(svr);
+  for (const auto& [tag, value] : edits) {
+    SCOPED_TRACE(std::string("svr ") + tag + " " + value);
+    std::istringstream in(with_value(svr_text, tag, value));
+    EXPECT_THROW(ml::SvmRegressor::load(in), InvalidArgument);
+  }
+  std::istringstream intact(svr_text);
+  EXPECT_EQ(ml::SvmRegressor::load(intact).num_support_vectors(),
+            svr.num_support_vectors());
 }
 
 TEST(ModelIo, SvmCoefficientOutsideItsBoxIsRejected) {

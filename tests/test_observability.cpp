@@ -319,7 +319,6 @@ TEST(Observability, SvmPlanGaugesPublishedOnBuild) {
             static_cast<std::int64_t>(plan.dedup_ratio() * 1000.0));
   EXPECT_EQ(snap.gauge("svm.plan.pool_bytes"),
             static_cast<std::int64_t>(plan.pool_bytes()));
-  EXPECT_EQ(snap.gauge("svm.plan.precision_bits"), 64);
 }
 
 TEST(Observability, SvmPredictCountersAccumulate) {

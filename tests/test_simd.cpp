@@ -156,47 +156,16 @@ TEST_F(SimdTest, VectorExpRemainderLanes) {
   }
 }
 
-TEST_F(SimdTest, DotAndNormMatchScalarAcrossLengths) {
+TEST_F(SimdTest, NormMatchesScalarAcrossLengths) {
   if (!avx2()) GTEST_SKIP() << "AVX2 table unavailable";
   Rng rng(31);
   for (std::size_t n = 1; n <= 67; ++n) {
     std::vector<double> a(n);
-    std::vector<double> b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.normal(0.0, 2.0);
-      b[i] = rng.normal(0.0, 2.0);
-    }
+    for (auto& v : a) v = rng.normal(0.0, 2.0);
     ASSERT_TRUE(simd::set_active(simd::Isa::kScalar));
-    const double dot_s = simd::dot(a.data(), b.data(), n);
     const double norm_s = simd::squared_norm(a.data(), n);
     ASSERT_TRUE(simd::set_active(simd::Isa::kAvx2));
-    EXPECT_NEAR(simd::dot(a.data(), b.data(), n), dot_s, 1e-12) << "n=" << n;
     EXPECT_NEAR(simd::squared_norm(a.data(), n), norm_s, 1e-12) << "n=" << n;
-  }
-}
-
-TEST_F(SimdTest, DotRowsMatchesPerRowDot) {
-  if (!avx2()) GTEST_SKIP() << "AVX2 table unavailable";
-  Rng rng(17);
-  // 11 rows of width 13: a 3-row block remainder and a 5-lane column
-  // remainder in one shot.
-  const std::size_t d = 13;
-  const std::size_t n_rows = 11;
-  std::vector<double> rows(n_rows * d);
-  std::vector<double> x(d);
-  for (auto& v : rows) v = rng.normal(0.0, 2.0);
-  for (auto& v : x) v = rng.normal(0.0, 2.0);
-  ASSERT_TRUE(simd::set_active(simd::Isa::kScalar));
-  std::vector<double> expected(n_rows);
-  simd::dot_rows(x.data(), rows.data(), d, n_rows, expected.data());
-  for (std::size_t j = 0; j < n_rows; ++j) {
-    EXPECT_DOUBLE_EQ(expected[j], simd::dot(x.data(), rows.data() + j * d, d));
-  }
-  ASSERT_TRUE(simd::set_active(simd::Isa::kAvx2));
-  std::vector<double> got(n_rows);
-  simd::dot_rows(x.data(), rows.data(), d, n_rows, got.data());
-  for (std::size_t j = 0; j < n_rows; ++j) {
-    EXPECT_NEAR(got[j], expected[j], 1e-12) << "row " << j;
   }
 }
 
@@ -210,9 +179,11 @@ TEST_F(SimdTest, RowSquaredNormsIsaIndependent) {
     X.append_row(row);
   }
   ASSERT_TRUE(simd::set_active(simd::Isa::kScalar));
-  const auto scalar = X.row_squared_norms();
+  const ml::GramRowEngine scalar_engine(X, ml::Kernel::rbf(0.1));
+  const auto scalar = scalar_engine.squared_norms();
   ASSERT_TRUE(simd::set_active(simd::Isa::kAvx2));
-  const auto vec = X.row_squared_norms();
+  const ml::GramRowEngine vec_engine(X, ml::Kernel::rbf(0.1));
+  const auto vec = vec_engine.squared_norms();
   ASSERT_EQ(scalar.size(), vec.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
     EXPECT_NEAR(vec[i], scalar[i], 1e-12) << "row " << i;
@@ -222,19 +193,80 @@ TEST_F(SimdTest, RowSquaredNormsIsaIndependent) {
 TEST_F(SimdTest, PolyPowiTransformLaneExactAgainstScalar) {
   if (!avx2()) GTEST_SKIP() << "AVX2 table unavailable";
   Rng rng(41);
-  // 11 dots: two full vectors plus a 3-lane remainder.
-  std::vector<double> dots(11);
-  for (auto& v : dots) v = rng.uniform(-2.0, 2.0);
-  auto scalar = dots;
-  auto vec = dots;
+  // 11 one-feature rows: a full panel and a padded one.  With one
+  // feature the panel-major layout is row order, and against the unit
+  // query every dot is the row value itself on both tables, so only the
+  // transform can differ.  γ = 0.3 makes γ·dot inexact, so a base fused
+  // into one multiply-add would round differently from the scalar one.
+  const std::size_t n = 11;
+  std::vector<double> panels(simd::panel_rows(n), 0.0);
+  for (std::size_t j = 0; j < n; ++j) panels[j] = rng.uniform(-2.0, 2.0);
+  const std::vector<double> sq_norms(simd::panel_rows(n), 0.0);
+  const double x = 1.0;
+  simd::RowKernel poly;
+  poly.kind = simd::RowKernel::Kind::kPolyPowi;
+  poly.gamma = 0.3;
+  poly.coef0 = 1.0;
+  poly.degree = 3;
+  std::vector<double> scalar(n);
+  std::vector<double> vec(n);
   ASSERT_TRUE(simd::set_active(simd::Isa::kScalar));
-  simd::poly_row_transform_powi(scalar.data(), scalar.size(), 0.5, 1.0, 3);
+  simd::kernel_row_panels(&x, 0.0, 1, panels.data(), sq_norms.data(), n,
+                          poly, scalar.data());
   ASSERT_TRUE(simd::set_active(simd::Isa::kAvx2));
-  simd::poly_row_transform_powi(vec.data(), vec.size(), 0.5, 1.0, 3);
-  for (std::size_t i = 0; i < dots.size(); ++i) {
+  simd::kernel_row_panels(&x, 0.0, 1, panels.data(), sq_norms.data(), n,
+                          poly, vec.data());
+  for (std::size_t j = 0; j < n; ++j) {
     // Same base arithmetic and the same squaring order as simd::powi —
     // vector lanes reproduce the scalar path to the last bit.
-    EXPECT_DOUBLE_EQ(vec[i], scalar[i]) << "lane " << i;
+    EXPECT_EQ(vec[j], scalar[j]) << "row " << j;
+  }
+}
+
+// The scalar table advances 8 dots at once (a panel's rows, or a
+// tile's queries) but sums each one feature by feature from zero, so
+// its row and its tile equal a plain one-chain loop bit for bit.  37
+// rows end in a padded panel; the query sits in lane 3 of the tile.
+TEST_F(SimdTest, ScalarTableSumsEachDotInFeatureOrder) {
+  ASSERT_TRUE(simd::set_active(simd::Isa::kScalar));
+  Rng rng(57);
+  const std::size_t n = 37;
+  const std::size_t d = 13;
+  std::vector<double> rows(simd::panel_rows(n) * d, 0.0);
+  for (std::size_t i = 0; i < n * d; ++i) rows[i] = rng.normal(0.0, 1.0);
+  std::vector<double> expected(n);
+  std::vector<double> x(d);
+  for (auto& v : x) v = rng.normal(0.0, 1.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    double dot = 0.0;
+    for (std::size_t f = 0; f < d; ++f) {
+      volatile double product = x[f] * rows[j * d + f];  // no contraction
+      dot += product;
+    }
+    expected[j] = dot;
+  }
+  simd::pack_panels(rows.data(), n, d);
+  const std::vector<double> sq_norms(simd::panel_rows(n), 0.0);
+  const simd::RowKernel dot_kernel;
+  std::vector<double> row(n);
+  simd::kernel_row_panels(x.data(), 0.0, d, rows.data(), sq_norms.data(), n,
+                          dot_kernel, row.data());
+  std::vector<double> queries_t(d * simd::kTileQueries);
+  for (auto& v : queries_t) v = rng.normal(0.0, 1.0);
+  for (std::size_t f = 0; f < d; ++f) {
+    queries_t[f * simd::kTileQueries + 3] = x[f];
+  }
+  const std::vector<double> x_sq(simd::kTileQueries, 0.0);
+  std::vector<double> tile(simd::panel_rows(n) * simd::kTileQueries);
+  simd::kernel_tile(queries_t.data(), x_sq.data(), d, rows.data(),
+                    sq_norms.data(), n, dot_kernel, tile.data());
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(row[j]),
+              std::bit_cast<std::uint64_t>(expected[j]))
+        << "row " << j;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tile[j * simd::kTileQueries + 3]),
+              std::bit_cast<std::uint64_t>(expected[j]))
+        << "tile row " << j;
   }
 }
 
@@ -243,19 +275,21 @@ TEST_F(SimdTest, ClampedSqDistFloorsRoundOff) {
   // must floor at exactly 0 so exp(−γ·d²) stays exactly 1.
   EXPECT_EQ(simd::clamped_sq_dist(2.0, 2.0, 2.0 + 1e-16), 0.0);
   EXPECT_EQ(simd::clamped_sq_dist(25.0, 1.0, 2.0), 25.0 + 1.0 - 4.0);
+  // An overflowed expansion stays NaN, as under AVX2's max(0, ·).
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(std::isnan(simd::clamped_sq_dist(inf, 1.0, inf)));
 }
 
-// 1e-12, relative for kernel values above 1 (the AVX2 dot reduction
-// orders partial sums differently, so big polynomial values agree to
-// ULPs rather than an absolute 1e-12).
+// 1e-12, relative for kernel values above 1 (the AVX2 dot fuses each
+// multiply-add, so big polynomial values agree to ULPs rather than an
+// absolute 1e-12).
 double row_tolerance(double expected) {
   return 1e-12 * std::max(1.0, std::abs(expected));
 }
 
-// The property the SMO solver rests on: fill_range output must be
+// The property the SMO solver rests on: engine rows must be
 // ISA-independent to 1e-12 (relative above 1) for every kernel family,
-// with sizes chosen so both the dot sweep (cols % 8 != 0) and the
-// transform pass (rows % kMaxLanes != 0) exercise remainder lanes.
+// with 38 rows so the sweep ends in a padded panel (38 % 8 != 0).
 TEST_F(SimdTest, GramRowsAgreeAcrossIsasAllKernels) {
   if (!avx2()) GTEST_SKIP() << "AVX2 table unavailable";
   Rng rng(99);

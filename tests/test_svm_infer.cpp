@@ -384,6 +384,44 @@ TEST(SvmInferTile, TileAndReduceEqualKernelRowAndDecisionValue) {
   }
 }
 
+// Fit and serve share one sweep: the plan's kernel row is the probe row
+// of a GramRowEngine packed from a Matrix of the same rows, bit for bit,
+// for every kernel family.  1 203 = 150·8 + 3 rows end in a padded
+// panel.
+TEST(SvmInferPlan, KernelRowEqualsEngineProbeRow) {
+  const std::vector<Kernel> kernels = {
+      Kernel::linear(), Kernel::rbf(0.1), Kernel::polynomial(3.0, 0.05, 1.0),
+      Kernel::polynomial(2.5, 0.01, 30.0)};
+  const std::size_t pool = 1203;
+  const std::size_t dims = 48;
+  std::uint64_t seed = 300;
+  for (const auto& kernel : kernels) {
+    SCOPED_TRACE(kernel.name());
+    const auto clf = crafted_model(kernel, pool, dims, ++seed);
+    const auto& plan = clf.inference_plan();
+    ASSERT_EQ(plan.unique_support_vectors(), pool);
+    Matrix rows(pool, dims);
+    for (std::size_t j = 0; j < pool; ++j) {
+      clf.machine(0).pool()->row(j, rows.row(j).data());
+    }
+    const GramRowEngine engine(rows, kernel);
+    Rng rng(seed);
+    std::vector<double> x(dims);
+    std::vector<double> served(pool);
+    std::vector<double> probe(pool);
+    std::size_t mismatches = 0;
+    for (int q = 0; q < 3; ++q) {
+      for (auto& v : x) v = rng.normal(0.0, 1.0);
+      plan.kernel_row(x, served);
+      engine.fill_row_for(x, probe);
+      for (std::size_t j = 0; j < pool; ++j) {
+        mismatches += !same_bits(served[j], probe[j]);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
 TEST(SvmInferTile, RejectsBadTileShapes) {
   const auto clf = train_blobs(infer_config(Kernel::rbf(0.3), false));
   const auto& plan = clf.inference_plan();
