@@ -9,6 +9,17 @@
 
 namespace xdmodml::core {
 
+namespace {
+
+/// Message for a NaN or infinite feature, shared by the training and
+/// serving gates.
+std::string non_finite_feature(const supremm::Attribute& attr, double v) {
+  return "non-finite feature " + attr.name() + " = " +
+         (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf");
+}
+
+}  // namespace
+
 const char* algorithm_name(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kSvm:
@@ -30,6 +41,18 @@ void JobClassifier::train(const ml::Dataset& train_set) {
                 "JobClassifier requires a labeled training set");
   XDMODML_CHECK(train_set.num_features() == config_.schema.size(),
                 "training features do not match the classifier schema");
+  // A NaN or infinity would poison its column's standardizer mean, and
+  // with it every row of that column.
+  const auto& attrs = config_.schema.attributes();
+  for (std::size_t r = 0; r < train_set.X.rows(); ++r) {
+    const auto row = train_set.X.row(r);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (!std::isfinite(row[i])) {
+        throw InvalidArgument(non_finite_feature(attrs[i], row[i]) +
+                              " in training row " + std::to_string(r));
+      }
+    }
+  }
   class_names_ = train_set.class_names;
 
   const Matrix standardized = standardizer_.fit_transform(train_set.X);
@@ -79,10 +102,8 @@ void JobClassifier::standardize_features(std::span<double> features) const {
   XDMODML_CHECK(features.size() == attrs.size(),
                 "feature row does not match the classifier schema");
   for (std::size_t i = 0; i < features.size(); ++i) {
-    const double v = features[i];
-    if (!std::isfinite(v)) {
-      throw InvalidArgument("non-finite feature " + attrs[i].name() + " = " +
-                            (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf"));
+    if (!std::isfinite(features[i])) {
+      throw InvalidArgument(non_finite_feature(attrs[i], features[i]));
     }
   }
   standardizer_.transform_row(features);

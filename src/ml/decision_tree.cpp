@@ -1,6 +1,8 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -27,15 +29,18 @@ double gini(std::span<const std::size_t> counts, std::size_t total) {
 }
 
 /// Same impurity over integral counts stored as doubles (histogram
-/// accumulators).  The arithmetic matches `gini` exactly: an integral
-/// double divided by double(total) is the same value the size_t version
-/// computes, so the two split arms score identical partitions
-/// identically.
-double gini_counts(std::span<const double> counts, std::size_t total) {
+/// accumulators), summed over `present`: the node's classes with a
+/// non-zero count, ascending.  The result equals `gini`'s bit for bit:
+/// an integral double divided by double(total) is the value the size_t
+/// version computes, and a class absent from the node adds
+/// (0/total)² = +0 to a non-negative sum, which changes no bit.
+double gini_present(std::span<const double> counts,
+                    std::span<const std::size_t> present,
+                    std::size_t total) {
   if (total == 0) return 0.0;
   double sum_sq = 0.0;
-  for (const double c : counts) {
-    const double p = c / static_cast<double>(total);
+  for (const auto c : present) {
+    const double p = counts[c] / static_cast<double>(total);
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
@@ -61,6 +66,7 @@ struct TreeEngine::BuildContext {
   std::vector<std::size_t> feature_pool;
   std::vector<std::pair<double, std::size_t>> sorted;  // (value, sample idx)
   std::vector<std::size_t> node_counts;  // per-class counts of the node
+  std::vector<std::size_t> present;      // classes with node_counts > 0
   std::vector<std::size_t> left_counts;  // exact-arm running counts
   std::vector<std::size_t> right_counts;
 
@@ -71,8 +77,8 @@ struct TreeEngine::BuildContext {
   std::size_t width = 0;  // doubles per bin: num_classes, or 3 for regression
 
   /// One feature's histogram: `data` is num_bins(feature) · width doubles
-  /// (class counts, or count/sum/sumsq triples), `touched` the sorted
-  /// bins that hold at least one sample.  Invariant: every slot outside
+  /// (class counts, or count/sum/sumsq triples), `touched` the bins that
+  /// hold at least one sample, ascending.  Invariant: every slot outside
   /// `touched` is zero, so reusing a buffer only needs the touched slots
   /// rezeroed.
   struct HistSlot {
@@ -99,8 +105,6 @@ struct TreeEngine::BuildContext {
   std::vector<LevelStore> levels;
   HistSlot scratch_hist;  // destination for nodes below the storage gate
   HistSlot scratch_sib;   // lazily built sibling histograms
-  std::vector<std::uint32_t> bin_stamp;  // touched-bin dedup (kMaxBins)
-  std::uint32_t stamp_gen = 0;
   std::vector<double> node_stats;          // node totals (width doubles)
   std::vector<double> left_acc, right_acc; // hist-scan running stats
 
@@ -140,31 +144,29 @@ struct TreeEngine::BuildContext {
   }
 
   /// One O(n) accumulation pass over ctx.samples[begin, end) into `h`
-  /// (which must be all-zero).  Touched bins are deduplicated with a
-  /// generation stamp and sorted afterwards, so the scan and the
-  /// threshold reconstruction see bins in ascending value order.
+  /// (which must be all-zero).  Each sample sets its bin's bit in a
+  /// 256-bit mask; listing the set bits word by word yields the touched
+  /// bins in ascending value order, which the scan and the threshold
+  /// reconstruction rely on.
   void accumulate(std::size_t f, std::size_t begin, std::size_t end,
                   HistSlot& h) {
     const std::uint8_t* col = binned->column(f);
-    const auto gen = ++stamp_gen;
+    std::array<std::uint64_t, BinnedDataset::kMaxBins / 64> mask{};
+    const auto mark = [&mask](std::uint8_t b) {
+      mask[b >> 6] |= std::uint64_t{1} << (b & 63);
+    };
     if (classification) {
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t s = samples[i];
         const std::uint8_t b = col[s];
-        if (bin_stamp[b] != gen) {
-          bin_stamp[b] = gen;
-          h.touched.push_back(b);
-        }
+        mark(b);
         h.data[b * width + static_cast<std::size_t>(y_class[s])] += 1.0;
       }
     } else {
       for (std::size_t i = begin; i < end; ++i) {
         const std::size_t s = samples[i];
         const std::uint8_t b = col[s];
-        if (bin_stamp[b] != gen) {
-          bin_stamp[b] = gen;
-          h.touched.push_back(b);
-        }
+        mark(b);
         double* slot = h.data.data() + b * 3;
         const double v = y_value[s];
         slot[0] += 1.0;
@@ -172,7 +174,12 @@ struct TreeEngine::BuildContext {
         slot[2] += v * v;
       }
     }
-    std::sort(h.touched.begin(), h.touched.end());
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        h.touched.push_back(
+            static_cast<std::uint16_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
     ++tally_hist_built;
   }
 
@@ -319,7 +326,6 @@ void TreeEngine::fit(const Matrix& X, std::span<const int> y_class,
     ctx.binned = binned;
     ctx.width =
         ctx.classification ? static_cast<std::size_t>(num_classes) : 3;
-    ctx.bin_stamp.assign(BinnedDataset::kMaxBins, 0);
   }
 
   build_node(ctx, 0, ctx.samples.size(), 0);
@@ -425,10 +431,13 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
     const bool store = n >= 2 * ctx.binned->max_bins_used() &&
                        depth_now < kMaxStoredLevels;
     auto& totals = ctx.node_stats;
+    auto& present = ctx.present;
     if (task_ == Task::kClassification) {
       totals.resize(ctx.width);
+      present.clear();
       for (std::size_t c = 0; c < ctx.width; ++c) {
         totals[c] = static_cast<double>(counts[c]);
+        if (counts[c] > 0) present.push_back(c);
       }
     } else {
       totals.assign({static_cast<double>(n), sum, sum_sq});
@@ -450,11 +459,13 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
       left.assign(ctx.width, 0.0);
       right.assign(totals.begin(), totals.end());
       if (task_ == Task::kClassification) {
+        // A class absent from the node is +0 in every bin, on both sides
+        // and in `moved`, so only the present classes are updated.
         std::size_t nl = 0;
         for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
           const double* hb = h->data.data() + touched[t] * ctx.width;
           double moved = 0.0;
-          for (std::size_t c = 0; c < ctx.width; ++c) {
+          for (const auto c : present) {
             left[c] += hb[c];
             right[c] -= hb[c];
             moved += hb[c];
@@ -467,8 +478,8 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
           }
           const double gain =
               node_impurity -
-              (static_cast<double>(nl) * gini_counts(left, nl) +
-               static_cast<double>(nr) * gini_counts(right, nr)) /
+              (static_cast<double>(nl) * gini_present(left, present, nl) +
+               static_cast<double>(nr) * gini_present(right, present, nr)) /
                   static_cast<double>(n);
           if (gain > best_gain) {
             best_gain = gain;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/decision_tree.hpp"
@@ -37,6 +38,30 @@ void make_discrete_problem(std::size_t n, std::size_t levels, Matrix& X,
     const double half = static_cast<double>(levels) / 2.0;
     int cls = a < half ? (b < half ? 0 : 1) : 2;
     if (rng.uniform_index(10) == 0) cls = (cls + 1) % 3;  // label noise
+    y.push_back(cls);
+  }
+}
+
+/// Twenty-class discrete problem at the full bin width: every feature
+/// takes one of 256 values, so bin codes run through all four 64-bit
+/// words of the hist arm's touched-bin mask, and a tree grown to purity
+/// reaches nodes that hold only a few of the twenty classes.
+void make_wide_discrete_problem(std::size_t n, Matrix& X, std::vector<int>& y,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto a = rng.uniform_index(256);
+    const auto b = rng.uniform_index(256);
+    const auto c = rng.uniform_index(256);
+    const auto noise = rng.uniform_index(256);
+    X.append_row(std::vector<double>{
+        static_cast<double>(a), static_cast<double>(b),
+        static_cast<double>(c), static_cast<double>(noise)});
+    // 4 bands of a × 5 bands of b + c; the a bands break at 64/128/192.
+    auto cls = static_cast<int>((a / 64) * 5 + (b + c) / 103);
+    if (rng.uniform_index(10) == 0) {
+      cls = static_cast<int>(rng.uniform_index(20));  // label noise
+    }
     y.push_back(cls);
   }
 }
@@ -384,6 +409,79 @@ TEST(SplitEquivalence, SharedBinnedDatasetMatchesSelfBinned) {
     const auto pb = shared.predict_proba(X.row(r));
     for (std::size_t c = 0; c < pa.size(); ++c) {
       ASSERT_EQ(pa[c], pb[c]) << "row " << r;
+    }
+  }
+}
+
+TEST(SplitEquivalence, TreeBitIdenticalAtFullBinWidth) {
+  Matrix X;
+  std::vector<int> y;
+  make_wide_discrete_problem(3000, X, y, 38);
+  const BinnedDataset binned(X);
+  for (std::size_t f = 0; f < binned.features(); ++f) {
+    ASSERT_GE(binned.num_bins(f), 200u) << "feature " << f;
+  }
+  ASSERT_EQ(binned.max_bins_used(), BinnedDataset::kMaxBins);
+
+  TreeConfig exact_cfg;
+  exact_cfg.split_algo = SplitAlgo::kExact;
+  TreeConfig hist_cfg;
+  hist_cfg.split_algo = SplitAlgo::kHist;
+  DecisionTreeClassifier exact(exact_cfg, 8);
+  DecisionTreeClassifier hist(hist_cfg, 8);
+  exact.fit(X, y, 20);
+  hist.fit(X, y, 20);
+
+  EXPECT_EQ(exact.node_count(), hist.node_count());
+  EXPECT_EQ(exact.depth(), hist.depth());
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    const auto pe = exact.predict_proba(X.row(r));
+    const auto ph = hist.predict_proba(X.row(r));
+    ASSERT_EQ(pe.size(), ph.size());
+    for (std::size_t c = 0; c < pe.size(); ++c) {
+      ASSERT_EQ(pe[c], ph[c]) << "row " << r << " class " << c;
+    }
+  }
+}
+
+TEST(SplitEquivalence, ForestBitIdenticalAtFullBinWidth) {
+  Matrix X;
+  std::vector<int> y;
+  make_wide_discrete_problem(3000, X, y, 39);
+
+  ForestConfig exact_cfg;
+  exact_cfg.num_trees = 30;
+  exact_cfg.tree.max_features = 2;
+  exact_cfg.tree.split_algo = SplitAlgo::kExact;
+  ForestConfig hist_cfg = exact_cfg;
+  hist_cfg.tree.split_algo = SplitAlgo::kHist;
+
+  RandomForestClassifier exact(exact_cfg, 10);
+  RandomForestClassifier hist(hist_cfg, 10);
+  exact.fit(X, y, 20);
+  hist.fit(X, y, 20);
+
+  // The saved streams hold every node of every tree (feature, threshold,
+  // children, leaf distribution) and the impurity importances, so equal
+  // streams mean equal node counts and equal split gains.  Compared by
+  // first mismatch: gtest's line diff of two differing streams this
+  // long can need gigabytes.
+  std::ostringstream exact_out, hist_out;
+  exact.save(exact_out);
+  hist.save(hist_out);
+  const std::string exact_stream = exact_out.str();
+  const std::string hist_stream = hist_out.str();
+  const auto [ie, ih] = std::mismatch(exact_stream.begin(), exact_stream.end(),
+                                      hist_stream.begin(), hist_stream.end());
+  EXPECT_TRUE(ie == exact_stream.end() && ih == hist_stream.end())
+      << "saved forests differ from byte " << (ie - exact_stream.begin());
+  EXPECT_EQ(exact.oob_error(), hist.oob_error());
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    const auto pe = exact.predict_proba(X.row(r));
+    const auto ph = hist.predict_proba(X.row(r));
+    ASSERT_EQ(pe.size(), ph.size());
+    for (std::size_t c = 0; c < pe.size(); ++c) {
+      ASSERT_EQ(pe[c], ph[c]) << "row " << r << " class " << c;
     }
   }
 }

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 #include "workload/dataset_helpers.hpp"
 #include "workload/generator.hpp"
@@ -151,6 +156,42 @@ TEST_F(JobClassifierTest, SchemaMismatchRejected) {
   narrow = narrow.select_features(one);
   EXPECT_THROW(clf.train(narrow), InvalidArgument);
   EXPECT_THROW(clf.predict(test_jobs_.front().summary), InvalidArgument);
+}
+
+TEST_F(JobClassifierTest, NonFiniteTrainingFeatureRejected) {
+  // One NaN or infinity in one training row is rejected, naming the
+  // attribute, before any model or standardizer sees it.
+  constexpr std::size_t kRow = 7;
+  constexpr std::size_t kCol = 3;
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  const auto inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, std::string>> cases{
+      {nan, "nan"}, {-nan, "nan"}, {inf, "inf"}, {-inf, "-inf"}};
+  const std::string name = schema_->attributes()[kCol].name();
+  for (const auto algorithm : {Algorithm::kSvm, Algorithm::kRandomForest,
+                               Algorithm::kNaiveBayes}) {
+    for (const auto& [value, token] : cases) {
+      SCOPED_TRACE(std::string(algorithm_name(algorithm)) + " " + token);
+      ml::Dataset poisoned = *train_;
+      poisoned.X(kRow, kCol) = value;
+      JobClassifierConfig cfg;
+      cfg.algorithm = algorithm;
+      JobClassifier clf(cfg);
+      try {
+        clf.train(poisoned);
+        ADD_FAILURE() << "trained on a non-finite feature";
+      } catch (const InvalidArgument& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("non-finite feature " + name + " = " + token),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("row " + std::to_string(kRow)),
+                  std::string::npos)
+            << message;
+      }
+      EXPECT_FALSE(clf.trained());
+    }
+  }
 }
 
 TEST_F(JobClassifierTest, ForestAccessorGuarded) {
