@@ -1,7 +1,9 @@
 #include "ml/binned_dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -70,8 +72,23 @@ void bin_feature(const Matrix& X, std::size_t f, std::size_t max_bins,
 
 }  // namespace
 
+void require_finite_features(const Matrix& X) {
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    const auto row = X.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      const double v = row[c];
+      if (std::isfinite(v)) continue;
+      throw InvalidArgument("non-finite feature column " + std::to_string(c) +
+                            " = " +
+                            (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf") +
+                            " in training row " + std::to_string(r));
+    }
+  }
+}
+
 BinnedDataset::BinnedDataset(const Matrix& X, std::size_t max_bins) {
   XDMODML_CHECK(!X.empty(), "binning requires a non-empty matrix");
+  require_finite_features(X);
   max_bins = std::clamp<std::size_t>(max_bins, 2, kMaxBins);
   rows_ = X.rows();
   const std::size_t num_features = X.cols();

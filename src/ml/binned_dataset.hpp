@@ -29,6 +29,13 @@
 
 namespace xdmodml::ml {
 
+/// Throws InvalidArgument naming the first NaN or infinite entry of a
+/// training matrix, as "non-finite feature column <c> = nan|inf|-inf in
+/// training row <r>".  Trees need it on both split arms: the binning
+/// sort has no order for NaN, and the exact arm sends a NaN left while a
+/// NaN query descends right.
+void require_finite_features(const Matrix& X);
+
 /// Immutable quantile-binned view of a feature matrix.  Construction is
 /// the only mutating phase; afterwards the object is safe to share
 /// read-only across threads (forest training reads it concurrently).
@@ -40,6 +47,8 @@ class BinnedDataset {
   /// Bins every column of X.  `max_bins` caps the bins per feature
   /// (clamped to kMaxBins); features with fewer distinct values get one
   /// bin per distinct value, which makes binned split search exact.
+  /// Throws InvalidArgument on a non-finite entry
+  /// (require_finite_features).
   explicit BinnedDataset(const Matrix& X, std::size_t max_bins = kMaxBins);
 
   std::size_t rows() const { return rows_; }

@@ -760,6 +760,7 @@ DecisionTreeClassifier::DecisionTreeClassifier(TreeConfig config,
 
 void DecisionTreeClassifier::fit(const Matrix& X, std::span<const int> y,
                                  int num_classes) {
+  require_finite_features(X);
   num_classes_ = num_classes;
   std::vector<std::size_t> all(X.rows());
   std::iota(all.begin(), all.end(), 0);
@@ -777,6 +778,7 @@ DecisionTreeRegressor::DecisionTreeRegressor(TreeConfig config,
     : engine_(detail::TreeEngine::Task::kRegression, config), rng_(seed) {}
 
 void DecisionTreeRegressor::fit(const Matrix& X, std::span<const double> y) {
+  require_finite_features(X);
   std::vector<std::size_t> all(X.rows());
   std::iota(all.begin(), all.end(), 0);
   engine_.fit(X, {}, y, 0, all, rng_);

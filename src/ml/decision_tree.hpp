@@ -111,7 +111,8 @@ class TreeEngine {
 
 }  // namespace detail
 
-/// Single CART classifier with a `Classifier` interface.
+/// Single CART classifier with a `Classifier` interface.  fit() throws
+/// InvalidArgument on a NaN or infinite feature (require_finite_features).
 class DecisionTreeClassifier final : public Classifier {
  public:
   explicit DecisionTreeClassifier(TreeConfig config = {},
@@ -130,7 +131,8 @@ class DecisionTreeClassifier final : public Classifier {
   int num_classes_ = 0;
 };
 
-/// Single CART regressor with a `Regressor` interface.
+/// Single CART regressor with a `Regressor` interface.  fit() throws
+/// InvalidArgument on a NaN or infinite feature (require_finite_features).
 class DecisionTreeRegressor final : public Regressor {
  public:
   explicit DecisionTreeRegressor(TreeConfig config = {},

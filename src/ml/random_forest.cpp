@@ -86,6 +86,7 @@ void RandomForestClassifier::fit_rows(
                 "fit requires matching non-empty X and y");
   XDMODML_CHECK(!rows.empty(), "fit_rows requires a non-empty row subset");
   XDMODML_CHECK(num_classes > 0, "num_classes must be positive");
+  require_finite_features(X);
   num_classes_ = num_classes;
   num_features_ = X.cols();
 
@@ -362,6 +363,7 @@ void RandomForestRegressor::fit_rows(
   XDMODML_CHECK(X.rows() == y.size() && X.rows() > 0,
                 "fit requires matching non-empty X and y");
   XDMODML_CHECK(!rows.empty(), "fit_rows requires a non-empty row subset");
+  require_finite_features(X);
   num_features_ = X.cols();
 
   TreeConfig tree_config = config_.tree;

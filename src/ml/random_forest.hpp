@@ -53,7 +53,8 @@ class RandomForestClassifier final : public Classifier {
   /// share one quantile-binned dataset: pass the same `binned` to every
   /// call and the forest skips re-binning.  With `binned == nullptr` and
   /// the hist split algorithm, the forest bins X once itself and shares
-  /// the codes across all its trees.
+  /// the codes across all its trees.  A NaN or infinity anywhere in X
+  /// throws InvalidArgument (require_finite_features), as does fit().
   void fit_rows(const Matrix& X, std::span<const int> y, int num_classes,
                 std::span<const std::size_t> rows,
                 std::shared_ptr<const BinnedDataset> binned = nullptr);

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/metrics.hpp"
+#include "util/simd.hpp"
 
 namespace xdmodml::ml {
 
@@ -91,16 +93,21 @@ double SharedGramCache::Row::dot_at(std::span<const std::size_t> idx,
 
 SharedGramCache::SharedGramCache(const Matrix& X, Kernel kernel,
                                  std::size_t capacity_rows)
-    : engine_(X, kernel), capacity_(std::max<std::size_t>(2, capacity_rows)) {
+    : engine_(X, kernel),
+      capacity_(std::max<std::size_t>(2, capacity_rows)),
+      complete_(capacity_ >= X.rows()),
+      slots_(complete_ ? X.rows() : 0) {
   diag_.resize(X.rows());
   for (std::size_t i = 0; i < X.rows(); ++i) diag_[i] = engine_.diagonal(i);
+  if (complete_) owned_.resize(X.rows());
 }
 
 SharedGramCache::~SharedGramCache() {
   auto& metrics = GramCacheMetrics::get();
-  metrics.resident_rows.add(-static_cast<std::int64_t>(rows_.size()));
+  const std::size_t resident = complete_ ? published_ : rows_.size();
+  metrics.resident_rows.add(-static_cast<std::int64_t>(resident));
   metrics.resident_bytes.add(
-      -static_cast<std::int64_t>(rows_.size() * row_bytes()));
+      -static_cast<std::int64_t>(resident * row_bytes()));
 }
 
 std::size_t SharedGramCache::rows_for_budget(std::size_t n,
@@ -112,9 +119,9 @@ std::size_t SharedGramCache::rows_for_budget(std::size_t n,
 SharedGramCache::RowPtr SharedGramCache::compute_row(std::size_t i) const {
   // The engine always emits doubles; the row narrows once at fill time
   // so every later reuse reads half the bytes.  This is the only place a
-  // row payload is built — the cached, uncached and evict-retry paths
-  // all share it, which is what makes the degraded modes bit-identical
-  // to the healthy one.
+  // row payload is built — the cached, uncached and retry paths all
+  // share it, which is what makes the degraded modes bit-identical to
+  // the healthy one.
   std::vector<double> wide(engine_.rows());
   engine_.fill_row(i, wide);
   auto fresh = std::make_shared<Row>();
@@ -123,6 +130,25 @@ SharedGramCache::RowPtr SharedGramCache::compute_row(std::size_t i) const {
     fresh->data_[j] = static_cast<float>(wide[j]);
   }
   return fresh;
+}
+
+SharedGramCache::RowPtr SharedGramCache::compute_missed_row(std::size_t i) {
+  try {
+    XDMODML_FAILPOINT("gram_cache.alloc");
+    return compute_row(i);
+  } catch (const std::bad_alloc&) {
+    // Allocation pressure: retry once below.
+  } catch (const fp::FailpointError&) {
+    // Injected stand-in for the bad_alloc above — same recovery.
+  }
+  auto& metrics = GramCacheMetrics::get();
+  metrics.alloc_failures.inc();
+  metrics.evict_retries.inc();
+  // The LRU is the dominant consumer, so it sheds every resident row for
+  // the retry.  A complete cache's published rows may be in use by
+  // lock-free readers at any moment, so it keeps them.
+  if (!complete_) evict_all();
+  return compute_row(i);
 }
 
 void SharedGramCache::evict_all() {
@@ -139,23 +165,56 @@ void SharedGramCache::evict_all() {
                              static_cast<std::int64_t>(row_bytes()));
 }
 
-SharedGramCache::RowPtr SharedGramCache::row(std::size_t i) {
+SharedGramCache::RowRef SharedGramCache::row(std::size_t i) {
   XDMODML_CHECK(i < engine_.rows(), "shared kernel row index out of range");
   auto& metrics = GramCacheMetrics::get();
   // Budget-exceeded fallback: compute the row, hand it out, never touch
-  // the LRU.  Slower (no reuse) but numerically indistinguishable.
+  // the slots or the LRU.  Slower (no reuse) but numerically
+  // indistinguishable.
   if (fp::triggered("gram_cache.budget")) {
     metrics.uncached_rows.inc();
-    return compute_row(i);
+    return RowRef(compute_row(i));
   }
+  if (!complete_) return lru_row(i);
+
+  // Pairs with the release store below: a non-null slot's row is filled.
+  if (const Row* resident = slots_[i].load(std::memory_order_acquire)) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    metrics.hits.inc();
+    return RowRef(resident);
+  }
+  {
+    std::lock_guard lock(mutex_);
+    ++misses_;
+    metrics.misses.inc();
+  }
+  // Computed outside the lock, on this reader's thread, so misses on
+  // different rows fill in parallel.
+  RowPtr fresh = compute_missed_row(i);
+  std::lock_guard lock(mutex_);
+  // Slots change only under this lock, so a relaxed load sees any publish.
+  if (const Row* won = slots_[i].load(std::memory_order_relaxed)) {
+    return RowRef(won);  // lost a same-row race; still counted as a miss
+  }
+  const Row* mine = fresh.get();
+  owned_[i] = std::move(fresh);
+  slots_[i].store(mine, std::memory_order_release);
+  ++published_;
+  metrics.resident_rows.add(1);
+  metrics.resident_bytes.add(static_cast<std::int64_t>(row_bytes()));
+  return RowRef(mine);
+}
+
+SharedGramCache::RowRef SharedGramCache::lru_row(std::size_t i) {
+  auto& metrics = GramCacheMetrics::get();
   {
     std::lock_guard lock(mutex_);
     const auto it = rows_.find(i);
     if (it != rows_.end()) {
-      ++hits_;
+      hits_.fetch_add(1, std::memory_order_relaxed);
       metrics.hits.inc();
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.data;
+      return RowRef(it->second.data);
     }
     ++misses_;
     metrics.misses.inc();
@@ -163,30 +222,13 @@ SharedGramCache::RowPtr SharedGramCache::row(std::size_t i) {
   // Compute outside the lock so concurrent misses on different rows fill
   // in parallel; a race on the *same* row does redundant work but the
   // first insert wins and both callers see a valid row.
-  RowPtr fresh;
-  try {
-    XDMODML_FAILPOINT("gram_cache.alloc");
-    fresh = compute_row(i);
-  } catch (const std::bad_alloc&) {
-    // Allocation pressure: this cache is the dominant consumer, so shed
-    // every resident row and retry once with the budget to ourselves.
-    metrics.alloc_failures.inc();
-    metrics.evict_retries.inc();
-    evict_all();
-    fresh = compute_row(i);
-  } catch (const fp::FailpointError&) {
-    // Injected stand-in for the bad_alloc above — same recovery.
-    metrics.alloc_failures.inc();
-    metrics.evict_retries.inc();
-    evict_all();
-    fresh = compute_row(i);
-  }
+  RowPtr fresh = compute_missed_row(i);
   std::lock_guard lock(mutex_);
   const auto it = rows_.find(i);
   if (it != rows_.end()) {
     // Lost a same-row race: the access was already counted as a miss.
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.data;
+    return RowRef(it->second.data);
   }
   std::int64_t delta_rows = 1;  // net resident change: insert − eviction
   if (rows_.size() >= capacity_) {
@@ -199,24 +241,24 @@ SharedGramCache::RowPtr SharedGramCache::row(std::size_t i) {
   }
   lru_.push_front(i);
   auto [pos, inserted] =
-      rows_.emplace(i, Entry{RowPtr(std::move(fresh)), lru_.begin()});
+      rows_.emplace(i, Entry{std::move(fresh), lru_.begin()});
   (void)inserted;
   // Gauges aggregate across every live cache; updated under the lock we
   // still hold so they track the map exactly.
   metrics.resident_rows.add(delta_rows);
   metrics.resident_bytes.add(delta_rows *
                              static_cast<std::int64_t>(row_bytes()));
-  return pos->second.data;
+  return RowRef(pos->second.data);
 }
 
 SharedGramCache::Stats SharedGramCache::stats() const {
   std::lock_guard lock(mutex_);
   Stats s;
-  s.hits = hits_;
+  s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_;
   s.evictions = evictions_;
-  s.resident_rows = rows_.size();
-  s.resident_bytes = rows_.size() * row_bytes();
+  s.resident_rows = complete_ ? published_ : rows_.size();
+  s.resident_bytes = s.resident_rows * row_bytes();
   return s;
 }
 
@@ -251,11 +293,30 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
   const auto is_upper = [&](std::size_t t) { return alpha[t] >= c[t]; };
   const auto is_lower = [&](std::size_t t) { return alpha[t] <= 0.0; };
 
+  // What the selection loops read per variable instead of deriving it at
+  // every visit: the label as ±1.0, and membership of
+  //   I_up  = {t : y_t > 0, α_t < C_t} ∪ {t : y_t < 0, α_t > 0},
+  //   I_low = {t : y_t > 0, α_t > 0}   ∪ {t : y_t < 0, α_t < C_t}.
+  // Only the two variables an iteration moves can change membership.
+  std::vector<double> y_sign(n);
+  std::vector<std::uint8_t> in_up(n);
+  std::vector<std::uint8_t> in_low(n);
+  const auto refresh_membership = [&](std::size_t t) {
+    in_up[t] = (y[t] > 0 && !is_upper(t)) || (y[t] < 0 && !is_lower(t));
+    in_low[t] = (y[t] > 0 && !is_lower(t)) || (y[t] < 0 && !is_upper(t));
+  };
+  for (std::size_t t = 0; t < n; ++t) {
+    y_sign[t] = static_cast<double>(y[t]);
+    refresh_membership(t);
+  }
+
   // --- Shrinking state -----------------------------------------------
   // `active` lists the variables the working-set search and gradient
   // maintenance still touch; entries of `grad` outside it go stale and
   // are rebuilt by reconstruct_gradient.  grad_bar[t] accumulates
   // Σ_{s at upper bound} C_s y_t y_s K_ts so the rebuild is exact.
+  // While nothing is shrunk, `active` is exactly 0, 1, …, n−1, and the
+  // selection and gradient passes run as contiguous simd:: kernels.
   const bool shrinking = config.shrinking && n > 2;
   const std::size_t shrink_interval =
       config.shrink_interval > 0 ? config.shrink_interval
@@ -288,24 +349,22 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
     for (const std::size_t s : active) {
       if (is_lower(s) || is_upper(s)) continue;  // only free α contribute
       const auto row_s = cache.row(s);
-      const double as = alpha[s] * static_cast<double>(y[s]);
+      const double as = alpha[s] * y_sign[s];
       for (std::size_t t = 0; t < n; ++t) {
-        if (!active_mask[t]) {
-          grad[t] += as * static_cast<double>(y[t]) * row_s[t];
-        }
+        if (!active_mask[t]) grad[t] += as * y_sign[t] * row_s[t];
       }
     }
   };
 
   // First-order max violation over I_up restricted to the active set.
+  // The gradient pass below takes the same maximum as it goes; this
+  // standalone pass runs only where no such pass came before.
   const auto select_i = [&](double& g_max) -> std::ptrdiff_t {
     g_max = -std::numeric_limits<double>::infinity();
     std::ptrdiff_t i = -1;
     for (const std::size_t t : active) {
-      const bool in_up = (y[t] > 0 && !is_upper(t)) ||
-                         (y[t] < 0 && !is_lower(t));
-      if (!in_up) continue;
-      const double v = -static_cast<double>(y[t]) * grad[t];
+      if (!in_up[t]) continue;
+      const double v = -y_sign[t] * grad[t];
       if (v > g_max) {
         g_max = v;
         i = static_cast<std::ptrdiff_t>(t);
@@ -318,14 +377,17 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
   const auto select_j = [&](std::size_t ui, double g_max,
                             std::span<const double> row_i,
                             double& g_min) -> std::ptrdiff_t {
+    if (active.size() == n) {
+      return simd::smo_wss2_argmin(grad.data(), y_sign.data(), in_low.data(),
+                                   row_i.data(), k_diag.data(), k_diag[ui],
+                                   g_max, kTau, n, &g_min);
+    }
     g_min = std::numeric_limits<double>::infinity();
     double best_obj = std::numeric_limits<double>::infinity();
     std::ptrdiff_t j = -1;
     for (const std::size_t t : active) {
-      const bool in_low = (y[t] > 0 && !is_lower(t)) ||
-                          (y[t] < 0 && !is_upper(t));
-      if (!in_low) continue;
-      const double v = -static_cast<double>(y[t]) * grad[t];
+      if (!in_low[t]) continue;
+      const double v = -y_sign[t] * grad[t];
       g_min = std::min(g_min, v);
       const double b = g_max - v;  // violation of pair (i, t)
       if (b <= 0.0) continue;
@@ -340,6 +402,32 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
       }
     }
     return j;
+  };
+
+  // Gradient maintenance over the active set, G_t += y_t (s_i K_ti +
+  // s_j K_tj), fused with the next iteration's select_i: the same
+  // maximum over the same order, taken once membership of the two moved
+  // variables is refreshed.
+  const auto update_gradient = [&](std::span<const double> row_i,
+                                   std::span<const double> row_j, double si,
+                                   double sj, double& g_max) -> std::ptrdiff_t {
+    if (active.size() == n) {
+      return simd::smo_update_argmax(grad.data(), y_sign.data(), row_i.data(),
+                                     row_j.data(), si, sj, in_up.data(), n,
+                                     &g_max);
+    }
+    g_max = -std::numeric_limits<double>::infinity();
+    std::ptrdiff_t i = -1;
+    for (const std::size_t t : active) {
+      grad[t] += y_sign[t] * (si * row_i[t] + sj * row_j[t]);
+      if (!in_up[t]) continue;
+      const double v = -y_sign[t] * grad[t];
+      if (v > g_max) {
+        g_max = v;
+        i = static_cast<std::ptrdiff_t>(t);
+      }
+    }
+    return i;
   };
 
   // LIBSVM do_shrinking: compute the violation window (m, M) over the
@@ -402,14 +490,21 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
 
   std::size_t since_shrink = 0;
   std::size_t iter = 0;
+  // I_up's maximum for the coming iteration, when the last one's gradient
+  // pass took it.  A shrink pass reorders and shrinks the active set, and
+  // a step that moves neither alpha makes no pass, so both leave it unset.
+  bool have_i = false;
+  double g_max = 0.0;
+  std::ptrdiff_t i = -1;
   for (; iter < config.max_iterations; ++iter) {
     if (shrinking && ++since_shrink >= shrink_interval) {
       since_shrink = 0;
       do_shrinking();
+      have_i = false;
     }
 
-    double g_max = 0.0;
-    std::ptrdiff_t i = select_i(g_max);
+    if (!have_i) i = select_i(g_max);
+    have_i = false;
     std::span<const double> row_i;
     double g_min = 0.0;
     std::ptrdiff_t j = -1;
@@ -510,31 +605,33 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
       }
     }
 
-    // Gradient maintenance over the active set:
-    // G_t += Q_ti * dai + Q_tj * daj.
+    refresh_membership(ui);
+    refresh_membership(uj);
+
+    // Gradient maintenance, G_t += Q_ti * dai + Q_tj * daj, which also
+    // selects the next iteration's i.
     const double dai = alpha[ui] - old_ai;
     const double daj = alpha[uj] - old_aj;
     if (dai != 0.0 || daj != 0.0) {
-      const double si = static_cast<double>(y[ui]) * dai;
-      const double sj = static_cast<double>(y[uj]) * daj;
-      for (const std::size_t t : active) {
-        grad[t] += static_cast<double>(y[t]) * (si * row_i[t] + sj * row_j[t]);
-      }
+      const double si = y_sign[ui] * dai;
+      const double sj = y_sign[uj] * daj;
+      i = update_gradient(row_i, row_j, si, sj, g_max);
+      have_i = true;
       if (shrinking) {
         // Keep grad_bar exact across bound crossings (full-length rows
         // are available, so the update covers inactive entries too).
         if (was_upper_i != is_upper(ui)) {
           const double sign = is_upper(ui) ? 1.0 : -1.0;
-          const double w = sign * ci * static_cast<double>(y[ui]);
+          const double w = sign * ci * y_sign[ui];
           for (std::size_t t = 0; t < n; ++t) {
-            grad_bar[t] += w * static_cast<double>(y[t]) * row_i[t];
+            grad_bar[t] += w * y_sign[t] * row_i[t];
           }
         }
         if (was_upper_j != is_upper(uj)) {
           const double sign = is_upper(uj) ? 1.0 : -1.0;
-          const double w = sign * cj * static_cast<double>(y[uj]);
+          const double w = sign * cj * y_sign[uj];
           for (std::size_t t = 0; t < n; ++t) {
-            grad_bar[t] += w * static_cast<double>(y[t]) * row_j[t];
+            grad_bar[t] += w * y_sign[t] * row_j[t];
           }
         }
       }

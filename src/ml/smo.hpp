@@ -19,6 +19,7 @@
 // convergence check (and whenever the active set optimizes out early).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <list>
@@ -95,31 +96,43 @@ class KernelRowCache {
   std::size_t misses_ = 0;
 };
 
-/// Thread-safe LRU cache of *full-matrix* kernel rows, backed by a
+/// Thread-safe cache of *full-matrix* kernel rows, backed by a
 /// GramRowEngine.  One instance is shared by every one-vs-one sub-problem
 /// of a multiclass fit — and, through `SvmClassifier::fit_shared`, by
 /// every CV fold and grid cell of a tuning sweep: each row of the full
 /// Gram matrix is computed once (vectorized, norm-cached) and then sliced
 /// by every consumer whose training subset contains that sample, instead
 /// of each fit re-deriving kernels over its private row subset.  Rows are
-/// handed out as shared_ptrs so concurrent readers stay valid across
-/// evictions; a row raced by two threads may be computed twice but is
-/// inserted once.  Rows are stored as float — half the bytes of a double
-/// row, so the byte budget affords twice the rows — and read back as
-/// double.  The ~1e-7 relative rounding sits far below the SMO KKT
-/// tolerance (1e-3): solves agree with the exact GramRowEngine path to
-/// 1e-3 on alphas/rho/objective and exactly on predicted labels.
+/// stored as float — half the bytes of a double row, so the byte budget
+/// affords twice the rows — and read back as double.  The ~1e-7 relative
+/// rounding sits far below the SMO KKT tolerance (1e-3): solves agree
+/// with the exact GramRowEngine path to 1e-3 on alphas/rho/objective and
+/// exactly on predicted labels.
+///
+/// How rows are kept depends on the capacity, fixed at construction:
+///  - A complete cache (capacity ≥ rows) gives every row a fixed slot.
+///    The reader that first misses row i computes it on its own thread
+///    and publishes it into slot i once, with a release store under the
+///    mutex; a reader that raced it to the same row drops its own copy.
+///    Every later read is one acquire load: no mutex, no LRU splice, no
+///    hash lookup and no shared reference count.  Published rows live
+///    until the cache is destroyed; nothing evicts them.
+///  - A smaller cache is an LRU under the mutex.  Rows are handed out
+///    with shared ownership so readers stay valid across evictions; a
+///    row raced by two threads may be computed twice but is inserted
+///    once.
 ///
 /// Degraded modes (both produce bit-identical rows — every path shares
 /// one fill-and-narrow helper):
 ///  - Row-payload allocation failure (std::bad_alloc, or the injected
-///    `gram_cache.alloc` fault) evicts every resident row and retries the
-///    compute once before giving up (`fail.gram_cache.alloc` /
-///    `retry.gram_cache.evict_retry` metrics).
+///    `gram_cache.alloc` fault) retries the compute once before giving up
+///    (`fail.gram_cache.alloc` / `retry.gram_cache.evict_retry` metrics).
+///    The LRU first evicts every resident row; a complete cache evicts
+///    nothing, since lock-free readers may hold any published row.
 ///  - When the memory budget is exceeded (the `gram_cache.budget`
 ///    failpoint armed with a `return` policy), row() computes without
-///    caching and the LRU is left untouched (`gram_cache.uncached_rows`
-///    metric).
+///    caching and leaves the slots and the LRU untouched
+///    (`gram_cache.uncached_rows` metric).
 class SharedGramCache {
  public:
   SharedGramCache(const Matrix& X, Kernel kernel, std::size_t capacity_rows);
@@ -148,12 +161,29 @@ class SharedGramCache {
     std::vector<float> data_;
   };
 
-  using RowPtr = std::shared_ptr<const Row>;
+  /// A handed-out row.  A complete cache's row needs no owner: it lives
+  /// as long as the cache.  An LRU or uncached row is shared with its
+  /// reader, so an eviction cannot free it under the reader.
+  class RowRef {
+   public:
+    const Row& operator*() const { return *row_; }
+    const Row* operator->() const { return row_; }
+    const Row* get() const { return row_; }
+
+   private:
+    friend class SharedGramCache;
+    explicit RowRef(const Row* row) : row_(row) {}
+    explicit RowRef(std::shared_ptr<const Row> owner)
+        : row_(owner.get()), owner_(std::move(owner)) {}
+
+    const Row* row_ = nullptr;
+    std::shared_ptr<const Row> owner_;
+  };
 
   /// Full kernel row i of the backing matrix (computed/cached on demand;
   /// computed-only while the budget failpoint fires — see the class
   /// comment).
-  RowPtr row(std::size_t i);
+  RowRef row(std::size_t i);
 
   /// k(x_i, x_i) in O(1) from the cached norms (always full precision —
   /// the solver's curvature terms never pay the float32 rounding).
@@ -190,24 +220,38 @@ class SharedGramCache {
   std::size_t evictions() const { return stats().evictions; }
 
  private:
+  using RowPtr = std::shared_ptr<const Row>;
+
   /// Fills row i (no locking, no LRU).  The single compute used by the
-  /// cached, uncached and evict-retry paths.
+  /// cached, uncached and retry paths.
   RowPtr compute_row(std::size_t i) const;
-  /// Allocation-pressure fallback: drops every resident row (gauges
-  /// updated) so the retried compute has the whole budget to itself.
+  /// compute_row for a miss, with the allocation-failure retry.
+  RowPtr compute_missed_row(std::size_t i);
+  /// row() on the LRU.
+  RowRef lru_row(std::size_t i);
+  /// Allocation-pressure fallback of the LRU: drops every resident row
+  /// (gauges updated) so the retried compute has the whole budget to
+  /// itself.
   void evict_all();
 
   GramRowEngine engine_;
   std::vector<double> diag_;
   std::size_t capacity_;
+  bool complete_;
+  /// Complete cache only: slot i is null until row i is published, then
+  /// points at owned_[i] for the cache's lifetime.
+  std::vector<std::atomic<const Row*>> slots_;
+  std::atomic<std::size_t> hits_{0};
+
   mutable std::mutex mutex_;
+  std::vector<RowPtr> owned_;  // complete cache: the published rows
+  std::size_t published_ = 0;
   std::list<std::size_t> lru_;  // most recent at front
   struct Entry {
     RowPtr data;
     std::list<std::size_t>::iterator lru_it;
   };
   std::unordered_map<std::size_t, Entry> rows_;
-  std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t evictions_ = 0;
 };

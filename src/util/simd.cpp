@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "util/simd_ops.hpp"
@@ -151,6 +152,55 @@ void ovo_reduce_tile_scalar(const double* block, const OvoMachine* machines,
   }
 }
 
+// SMO's loops as the solver wrote them over its active set; every other
+// table must return their bits.
+std::ptrdiff_t smo_update_argmax_scalar(double* grad, const double* y,
+                                        const double* k_i, const double* k_j,
+                                        double s_i, double s_j,
+                                        const std::uint8_t* up, std::size_t n,
+                                        double* g_max) {
+  double best = -std::numeric_limits<double>::infinity();
+  std::ptrdiff_t arg = -1;
+  for (std::size_t t = 0; t < n; ++t) {
+    grad[t] += y[t] * (s_i * k_i[t] + s_j * k_j[t]);
+    if (!up[t]) continue;
+    const double v = -y[t] * grad[t];
+    if (v > best) {
+      best = v;
+      arg = static_cast<std::ptrdiff_t>(t);
+    }
+  }
+  *g_max = best;
+  return arg;
+}
+
+std::ptrdiff_t smo_wss2_argmin_scalar(const double* grad, const double* y,
+                                      const std::uint8_t* low,
+                                      const double* k_i, const double* k_diag,
+                                      double k_ii, double g_max, double tau,
+                                      std::size_t n, double* g_min) {
+  double lowest = std::numeric_limits<double>::infinity();
+  double best = std::numeric_limits<double>::infinity();
+  std::ptrdiff_t arg = -1;
+  for (std::size_t t = 0; t < n; ++t) {
+    if (!low[t]) continue;
+    const double v = -y[t] * grad[t];
+    lowest = std::min(lowest, v);
+    const double b = g_max - v;  // violation of the pair (i, t)
+    if (b <= 0.0) continue;
+    // Curvature along the pair direction, ||φ(x_i) − φ(x_t)||².
+    double a = k_ii + k_diag[t] - 2.0 * k_i[t];
+    if (a <= 0.0) a = tau;
+    const double obj = -(b * b) / a;
+    if (obj < best) {
+      best = obj;
+      arg = static_cast<std::ptrdiff_t>(t);
+    }
+  }
+  *g_min = lowest;
+  return arg;
+}
+
 }  // namespace
 
 const Ops* scalar_ops() {
@@ -158,7 +208,9 @@ const Ops* scalar_ops() {
                            exp_inplace_scalar,
                            kernel_row_panels_scalar,
                            kernel_tile_scalar,
-                           ovo_reduce_tile_scalar};
+                           ovo_reduce_tile_scalar,
+                           smo_update_argmax_scalar,
+                           smo_wss2_argmin_scalar};
   return &ops;
 }
 
@@ -294,6 +346,23 @@ void kernel_tile(const double* queries_t, const double* x_sq, std::size_t d,
 void ovo_reduce_tile(const double* block, const OvoMachine* machines,
                      std::size_t count, double* f) {
   ops()->ovo_reduce_tile(block, machines, count, f);
+}
+
+std::ptrdiff_t smo_update_argmax(double* grad, const double* y,
+                                 const double* k_i, const double* k_j,
+                                 double s_i, double s_j,
+                                 const std::uint8_t* up, std::size_t n,
+                                 double* g_max) {
+  return ops()->smo_update_argmax(grad, y, k_i, k_j, s_i, s_j, up, n, g_max);
+}
+
+std::ptrdiff_t smo_wss2_argmin(const double* grad, const double* y,
+                               const std::uint8_t* low, const double* k_i,
+                               const double* k_diag, double k_ii,
+                               double g_max, double tau, std::size_t n,
+                               double* g_min) {
+  return ops()->smo_wss2_argmin(grad, y, low, k_i, k_diag, k_ii, g_max, tau,
+                                n, g_min);
 }
 
 }  // namespace xdmodml::simd

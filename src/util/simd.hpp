@@ -12,7 +12,10 @@
 //   * exp_inplace       — vectorized exp (Cephes-style polynomial);
 //   * kernel_row_panels — one query against a panel-major pool;
 //   * kernel_tile       — kTileQueries queries against the pool at once;
-//   * ovo_reduce_tile   — every one-vs-one machine over a tile.
+//   * ovo_reduce_tile   — every one-vs-one machine over a tile;
+//   * smo_update_argmax — SMO's gradient step fused with the next I_up
+//                         maximum (ml/smo.cpp);
+//   * smo_wss2_argmin   — SMO's second-order partner search and g_min.
 //
 // Each call dispatches through a function-pointer table selected ONCE at
 // startup from cpuid (AVX2 + FMA today; a scalar fallback always exists,
@@ -185,5 +188,38 @@ struct OvoMachine {
 /// independent, so an ISA may advance several at once.
 void ovo_reduce_tile(const double* block, const OvoMachine* machines,
                      std::size_t count, double* f);
+
+// ---- SMO working-set passes (ml/smo.cpp) -----------------------------
+//
+// The solver's two per-iteration sweeps over variables [0, n) while no
+// variable is shrunk.  y[t] is the label as ±1.0 and up[t] / low[t]
+// (0 or 1) flag membership of I_up / I_low.  Each element is computed
+// with the scalar loop's operations in its order, rounding each one, and
+// each lane keeps the loop's strict comparison; the lanes then reduce to
+// the best value, ties to the lowest index, and return that index's own
+// value — the element the sequential loop keeps, signed zeros included.
+// So every table returns the scalar table's bits.
+
+/// grad[t] += y[t]·(s_i·k_i[t] + s_j·k_j[t]) for every t, then the
+/// maximum of −y[t]·grad[t] over the t with up[t] set.  Returns the first
+/// index attaining it and stores the maximum in *g_max (−1 and −inf when
+/// no flag is set).
+std::ptrdiff_t smo_update_argmax(double* grad, const double* y,
+                                 const double* k_i, const double* k_j,
+                                 double s_i, double s_j,
+                                 const std::uint8_t* up, std::size_t n,
+                                 double* g_max);
+
+/// The WSS2 partner of a variable i (Fan, Chen and Lin, JMLR 6, 2005)
+/// over the t with low[t] set: with v = −y[t]·grad[t] and b = g_max − v,
+/// the first t minimising −(b·b)/a among those with b > 0, where
+/// a = (k_ii + k_diag[t]) − 2·k_i[t], raised to `tau` when a ≤ 0.  Stores
+/// the minimum of v over the flagged t in *g_min.  Returns −1 when no t
+/// qualifies; *g_min is +inf when no flag is set.
+std::ptrdiff_t smo_wss2_argmin(const double* grad, const double* y,
+                               const std::uint8_t* low, const double* k_i,
+                               const double* k_diag, double k_ii,
+                               double g_max, double tau, std::size_t n,
+                               double* g_min);
 
 }  // namespace xdmodml::simd

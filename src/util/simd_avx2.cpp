@@ -11,10 +11,11 @@
 // With contraction off, a fused multiply-add is always an explicit
 // `_mm256_fmadd_pd`, and a `_mm256_mul_pd` feeding a `_mm256_add_pd`
 // always rounds twice.  The polynomial base depends on that to equal the
-// scalar table's γ·dot + c0, and the reduce to equal
+// scalar table's γ·dot + c0, the reduce to equal
 // SvmInferencePlan::decision_value's scalar `f += coef * k` loop bit for
-// bit; under GCC's default contraction each pair becomes one fmadd and
-// the lanes drift from the scalar result by an ulp.
+// bit, and the SMO passes to equal the solver's loops; under GCC's
+// default contraction each pair becomes one fmadd and the lanes drift
+// from the scalar result by an ulp.
 #include "util/simd.hpp"
 #include "util/simd_ops.hpp"
 
@@ -22,6 +23,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -358,12 +361,161 @@ void ovo_reduce_tile_avx2(const double* block, const OvoMachine* machines,
   }
 }
 
+// ---- SMO working-set passes ------------------------------------------
+//
+// Four variables per step.  Each lane keeps its own best value and the
+// index (held as a double, exact far past any solvable n) where it first
+// met it, by the scalar loop's strict comparison; reduce_lanes then picks
+// what the sequential loop would have kept, and the tail continues the
+// scan from there.
+
+// All-ones lanes where the 0/1 flags f[0..3] are set.
+inline __m256d flag_mask(const std::uint8_t* f) {
+  std::int32_t bytes = 0;
+  std::memcpy(&bytes, f, sizeof bytes);
+  const __m256i wide = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(bytes));
+  return _mm256_castsi256_pd(
+      _mm256_cmpgt_epi64(wide, _mm256_setzero_si256()));
+}
+
+// The best lane value, ties to the lowest index, with that lane's index
+// in *arg.  A lane that never took an element holds index −1 and its
+// start value (∓inf), which the strict comparison kept every taken
+// element away from, so it wins only when every lane is empty.
+template <bool kMax>
+inline double reduce_lanes(__m256d value, __m256d index, std::ptrdiff_t* arg) {
+  alignas(32) double v[4];
+  alignas(32) double ix[4];
+  _mm256_store_pd(v, value);
+  _mm256_store_pd(ix, index);
+  std::size_t k = 0;
+  for (std::size_t l = 1; l < 4; ++l) {
+    const bool better = kMax ? v[l] > v[k] : v[l] < v[k];
+    if (better || (v[l] == v[k] && ix[l] < ix[k])) k = l;
+  }
+  *arg = static_cast<std::ptrdiff_t>(ix[k]);
+  return v[k];
+}
+
+std::ptrdiff_t smo_update_argmax_avx2(double* grad, const double* y,
+                                      const double* k_i, const double* k_j,
+                                      double s_i, double s_j,
+                                      const std::uint8_t* up, std::size_t n,
+                                      double* g_max) {
+  const __m256d vs_i = _mm256_set1_pd(s_i);
+  const __m256d vs_j = _mm256_set1_pd(s_j);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d four = _mm256_set1_pd(4.0);
+  __m256d best = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  __m256d best_idx = _mm256_set1_pd(-1.0);
+  __m256d idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    const __m256d yt = _mm256_loadu_pd(y + t);
+    // grad + y·(s_i·k_i + s_j·k_j), each product rounded before its add.
+    const __m256d pair =
+        _mm256_add_pd(_mm256_mul_pd(vs_i, _mm256_loadu_pd(k_i + t)),
+                      _mm256_mul_pd(vs_j, _mm256_loadu_pd(k_j + t)));
+    const __m256d g =
+        _mm256_add_pd(_mm256_loadu_pd(grad + t), _mm256_mul_pd(yt, pair));
+    _mm256_storeu_pd(grad + t, g);
+    const __m256d v = _mm256_mul_pd(_mm256_xor_pd(yt, sign), g);  // −y·g
+    const __m256d take =
+        _mm256_and_pd(flag_mask(up + t), _mm256_cmp_pd(v, best, _CMP_GT_OQ));
+    best = _mm256_blendv_pd(best, v, take);
+    best_idx = _mm256_blendv_pd(best_idx, idx, take);
+    idx = _mm256_add_pd(idx, four);
+  }
+  std::ptrdiff_t arg = -1;
+  double top = reduce_lanes<true>(best, best_idx, &arg);
+  for (; t < n; ++t) {
+    grad[t] += y[t] * (s_i * k_i[t] + s_j * k_j[t]);
+    if (!up[t]) continue;
+    const double v = -y[t] * grad[t];
+    if (v > top) {
+      top = v;
+      arg = static_cast<std::ptrdiff_t>(t);
+    }
+  }
+  *g_max = top;
+  return arg;
+}
+
+std::ptrdiff_t smo_wss2_argmin_avx2(const double* grad, const double* y,
+                                    const std::uint8_t* low,
+                                    const double* k_i, const double* k_diag,
+                                    double k_ii, double g_max, double tau,
+                                    std::size_t n, double* g_min) {
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d vk_ii = _mm256_set1_pd(k_ii);
+  const __m256d vg_max = _mm256_set1_pd(g_max);
+  const __m256d vtau = _mm256_set1_pd(tau);
+  const __m256d four = _mm256_set1_pd(4.0);
+  const __m256d none = _mm256_set1_pd(-1.0);
+  __m256d lowest = inf;
+  __m256d lowest_idx = none;
+  __m256d best = inf;
+  __m256d best_idx = none;
+  __m256d idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    const __m256d in = flag_mask(low + t);
+    const __m256d v =
+        _mm256_mul_pd(_mm256_xor_pd(_mm256_loadu_pd(y + t), sign),
+                      _mm256_loadu_pd(grad + t));
+    const __m256d lower =
+        _mm256_and_pd(in, _mm256_cmp_pd(v, lowest, _CMP_LT_OQ));
+    lowest = _mm256_blendv_pd(lowest, v, lower);
+    lowest_idx = _mm256_blendv_pd(lowest_idx, idx, lower);
+    const __m256d b = _mm256_sub_pd(vg_max, v);
+    // (k_ii + k_tt) − 2·K_it, raised to tau where not positive.
+    __m256d a =
+        _mm256_sub_pd(_mm256_add_pd(vk_ii, _mm256_loadu_pd(k_diag + t)),
+                      _mm256_mul_pd(two, _mm256_loadu_pd(k_i + t)));
+    a = _mm256_blendv_pd(a, vtau, _mm256_cmp_pd(a, zero, _CMP_LE_OQ));
+    const __m256d obj =
+        _mm256_div_pd(_mm256_xor_pd(_mm256_mul_pd(b, b), sign), a);
+    // A NaN b passes the loop's `b <= 0` test, but its NaN obj then
+    // fails `obj < best`: neither path takes it.
+    const __m256d take = _mm256_and_pd(
+        _mm256_and_pd(in, _mm256_cmp_pd(b, zero, _CMP_GT_OQ)),
+        _mm256_cmp_pd(obj, best, _CMP_LT_OQ));
+    best = _mm256_blendv_pd(best, obj, take);
+    best_idx = _mm256_blendv_pd(best_idx, idx, take);
+    idx = _mm256_add_pd(idx, four);
+  }
+  std::ptrdiff_t lowest_arg = -1;
+  double low_v = reduce_lanes<false>(lowest, lowest_idx, &lowest_arg);
+  std::ptrdiff_t arg = -1;
+  double top = reduce_lanes<false>(best, best_idx, &arg);
+  for (; t < n; ++t) {
+    if (!low[t]) continue;
+    const double v = -y[t] * grad[t];
+    low_v = std::min(low_v, v);
+    const double b = g_max - v;
+    if (b <= 0.0) continue;
+    double a = k_ii + k_diag[t] - 2.0 * k_i[t];
+    if (a <= 0.0) a = tau;
+    const double obj = -(b * b) / a;
+    if (obj < top) {
+      top = obj;
+      arg = static_cast<std::ptrdiff_t>(t);
+    }
+  }
+  *g_min = low_v;
+  return arg;
+}
+
 }  // namespace
 
 const Ops* avx2_ops() {
-  static constexpr Ops ops{squared_norm_avx2, exp_inplace_avx2,
+  static constexpr Ops ops{squared_norm_avx2,      exp_inplace_avx2,
                            kernel_row_panels_avx2, kernel_tile_avx2,
-                           ovo_reduce_tile_avx2};
+                           ovo_reduce_tile_avx2,   smo_update_argmax_avx2,
+                           smo_wss2_argmin_avx2};
   return &ops;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "util/simd.hpp"
 
@@ -26,6 +27,14 @@ struct Ops {
                       const RowKernel&, double*);
   void (*ovo_reduce_tile)(const double*, const OvoMachine*, std::size_t,
                           double*);
+  std::ptrdiff_t (*smo_update_argmax)(double*, const double*, const double*,
+                                      const double*, double, double,
+                                      const std::uint8_t*, std::size_t,
+                                      double*);
+  std::ptrdiff_t (*smo_wss2_argmin)(const double*, const double*,
+                                    const std::uint8_t*, const double*,
+                                    const double*, double, double, double,
+                                    std::size_t, double*);
 };
 
 /// Always present.

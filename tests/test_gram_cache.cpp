@@ -1,17 +1,21 @@
 // Property tests for SharedGramCache: LRU eviction order, byte-budget
 // capacity accounting for float32 rows, slice helpers, and a
-// multi-threaded hammer asserting no torn rows or double-fills.
+// multi-threaded hammer asserting no torn rows or double-fills, on the
+// LRU and on a complete cache.
 #include "ml/smo.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <thread>
 #include <vector>
 
 #include "ml/kernel.hpp"
+#include "util/failpoint.hpp"
 #include "util/matrix.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace xdmodml::ml {
@@ -53,15 +57,36 @@ TEST(SharedGramCacheProps, LruEvictionOrder) {
   EXPECT_EQ(cache.evictions(), 2u);
 }
 
+// The cache's invariants in one snapshot: no eviction without its miss,
+// residency within capacity, and bytes that match the rows.  A complete
+// cache never evicts, and holds at most one row per miss.
+void expect_stats_invariants(const SharedGramCache& cache) {
+  const auto s = cache.stats();
+  EXPECT_LE(s.evictions, s.misses);
+  EXPECT_LE(s.resident_rows, cache.capacity_rows());
+  EXPECT_EQ(s.resident_bytes, s.resident_rows * cache.row_bytes());
+  if (cache.capacity_rows() >= cache.rows()) {
+    EXPECT_EQ(s.evictions, 0u);
+    EXPECT_LE(s.resident_rows, s.misses);
+  }
+}
+
+// Capacity 4 runs the LRU over 6 rows; capacity 6 is a complete cache,
+// whose reads go through the per-row slots.
 TEST(SharedGramCacheProps, RepeatedAccessDoesNotDoubleFill) {
   const Matrix X = make_matrix(6, 3, 12);
-  SharedGramCache cache(X, Kernel::rbf(0.5), 4);
-  const auto first = cache.row(3);
-  const auto second = cache.row(3);
-  // Same shared payload, not a recomputed copy.
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
+  for (const std::size_t capacity : {4u, 6u}) {
+    SCOPED_TRACE(capacity);
+    SharedGramCache cache(X, Kernel::rbf(0.5), capacity);
+    const auto first = cache.row(3);
+    const auto second = cache.row(3);
+    // Same payload, not a recomputed copy.
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.stats().resident_rows, 1u);
+    expect_stats_invariants(cache);
+  }
 }
 
 TEST(SharedGramCacheProps, ByteBudgetAccountsForPrecision) {
@@ -112,9 +137,12 @@ TEST(SharedGramCacheProps, Float32RowsRoundTheDoubleRows) {
   }
 }
 
-// N threads × M rows hammering a small cache must never observe a torn
-// or partially-filled row: every handed-out row matches the engine's
-// reference values exactly, even while other threads force evictions.
+// N threads × M rows hammering a cache must never observe a torn or
+// partially-filled row: every handed-out row matches the engine's
+// reference values exactly, both while other threads force evictions
+// from a small LRU and while they race to publish a complete cache's
+// rows, which readers then take without the lock.  Capacity 6 of 32
+// rows is the LRU under constant eviction; 32 is a complete cache.
 TEST(SharedGramCacheProps, ConcurrentHammerYieldsNoTornRows) {
   const std::size_t n = 32;
   const Matrix X = make_matrix(n, 6, 16);
@@ -125,36 +153,73 @@ TEST(SharedGramCacheProps, ConcurrentHammerYieldsNoTornRows) {
   Matrix expected(n, n);
   for (std::size_t i = 0; i < n; ++i) reference.fill_row(i, expected.row(i));
 
-  SharedGramCache cache(X, kernel, 6);  // deliberately small
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kOpsPerThread = 300;
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(100 + t);
-      for (std::size_t op = 0; op < kOpsPerThread; ++op) {
-        const auto i = static_cast<std::size_t>(rng.uniform_index(n));
-        const auto row = cache.row(i);
-        if (row->size() != n) {
-          ++mismatches;
-          continue;
+  for (const std::size_t capacity : {6u, 32u}) {
+    SCOPED_TRACE(capacity);
+    SharedGramCache cache(X, kernel, capacity);
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kOpsPerThread = 300;
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(100 + t);
+        for (std::size_t op = 0; op < kOpsPerThread; ++op) {
+          const auto i = static_cast<std::size_t>(rng.uniform_index(n));
+          const auto row = cache.row(i);
+          if (row->size() != n) {
+            ++mismatches;
+            continue;
+          }
+          for (std::size_t j = 0; j < n; ++j) {
+            const double want =
+                static_cast<double>(static_cast<float>(expected(i, j)));
+            if ((*row)[j] != want) ++mismatches;
+          }
         }
-        for (std::size_t j = 0; j < n; ++j) {
-          const double want =
-              static_cast<double>(static_cast<float>(expected(i, j)));
-          if ((*row)[j] != want) ++mismatches;
-        }
-      }
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0u);
+    // Every access is exactly one hit or one miss — racing threads may
+    // compute a row twice, but the accounting never loses an access.
+    EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kOpsPerThread);
+    EXPECT_GE(cache.misses(), n - std::min(n, cache.capacity_rows()));
+    expect_stats_invariants(cache);
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  // Every access is exactly one hit or one miss — racing threads may
-  // compute a row twice, but the accounting never loses an access.
-  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kOpsPerThread);
-  EXPECT_GE(cache.misses(), n - cache.capacity_rows());
+}
+
+// An allocation fault in a complete cache retries the compute without
+// evicting: a reader may hold any published row without a reference
+// count.  The fault and its retry are still counted.
+TEST(SharedGramCacheProps, CompleteCacheAllocFaultKeepsPublishedRows) {
+  const Matrix X = make_matrix(10, 4, 18);
+  const Kernel kernel = Kernel::rbf(0.3);
+  const GramRowEngine reference(X, kernel);
+  std::vector<double> exact(X.rows());
+  reference.fill_row(0, exact);
+  SharedGramCache cache(X, kernel, X.rows());
+  const auto held = cache.row(0);
+
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto failures = registry.counter("fail.gram_cache.alloc").value();
+  const auto retries = registry.counter("retry.gram_cache.evict_retry").value();
+  fp::reset();
+  fp::arm("gram_cache.alloc", fp::Policy::parse("error(12)*3"));
+  for (std::size_t i = 1; i < X.rows(); ++i) (void)cache.row(i);
+  fp::reset();
+
+  EXPECT_EQ(registry.counter("fail.gram_cache.alloc").value() - failures, 3u);
+  EXPECT_EQ(registry.counter("retry.gram_cache.evict_retry").value() - retries,
+            3u);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.resident_rows, X.rows());
+  EXPECT_EQ(cache.row(0).get(), held.get());
+  for (std::size_t j = 0; j < X.rows(); ++j) {
+    EXPECT_EQ((*held)[j], static_cast<double>(static_cast<float>(exact[j])));
+  }
+  expect_stats_invariants(cache);
 }
 
 // Regression test: composing the per-field accessors (hits(), misses(),

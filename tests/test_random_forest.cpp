@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -216,6 +220,45 @@ TEST(RandomForest, RejectsBadInputs) {
   ForestConfig zero;
   zero.num_trees = 0;
   EXPECT_THROW(RandomForestClassifier{zero}, InvalidArgument);
+}
+
+// A NaN or infinity in a training column has no place in the binning
+// sort's order, and the exact arm would send its row left while a NaN
+// query descends right.  Every tree and forest fit entry rejects it on
+// both split arms, naming the cell.
+TEST(RandomForest, NonFiniteTrainingFeatureRejected) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, std::string>> cases{
+      {std::nan(""), "nan"}, {kInf, "inf"}, {-kInf, "-inf"}};
+  for (const SplitAlgo algo : {SplitAlgo::kHist, SplitAlgo::kExact}) {
+    for (const auto& [value, word] : cases) {
+      Matrix X;
+      std::vector<int> y;
+      make_problem(60, X, y);
+      X(17, 2) = value;
+      const std::vector<double> target(y.begin(), y.end());
+      ForestConfig cfg = small_forest(5);
+      cfg.tree.split_algo = algo;
+      const std::string want =
+          "non-finite feature column 2 = " + word + " in training row 17";
+      const auto expect_rejected = [&](auto&& fit, const char* model) {
+        try {
+          fit();
+          ADD_FAILURE() << model << " trained on " << word;
+        } catch (const InvalidArgument& e) {
+          EXPECT_EQ(e.what(), want) << model;
+        }
+      };
+      RandomForestClassifier forest(cfg);
+      expect_rejected([&] { forest.fit(X, y, 3); }, "forest classifier");
+      RandomForestRegressor forest_reg(cfg);
+      expect_rejected([&] { forest_reg.fit(X, target); }, "forest regressor");
+      DecisionTreeClassifier tree(cfg.tree);
+      expect_rejected([&] { tree.fit(X, y, 3); }, "tree classifier");
+      DecisionTreeRegressor tree_reg(cfg.tree);
+      expect_rejected([&] { tree_reg.fit(X, target); }, "tree regressor");
+    }
+  }
 }
 
 TEST(RandomForest, BatchPredictionsMatchSerial) {

@@ -1,8 +1,9 @@
 // SIMD microkernel layer: dispatch plumbing, the vectorized exp's
 // accuracy contract (ULP-bounded vs std::exp, exact underflow-to-zero,
-// NaN/Inf propagation), and SIMD-vs-scalar equivalence of every kernel
+// NaN/Inf propagation), SIMD-vs-scalar equivalence of every kernel
 // row path — including remainder lanes when sizes are not multiples of
-// the vector width.
+// the vector width — and SMO's two working-set kernels equal to the
+// solver's loops bit for bit on every table.
 //
 // AVX2-specific tests GTEST_SKIP on builds/CPUs without the AVX2 table,
 // so the suite is green under XDMODML_SIMD=OFF and on non-x86 hosts.
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -328,6 +330,198 @@ TEST_F(SimdTest, GramRowsAgreeAcrossIsasAllKernels) {
       ASSERT_NEAR(vec_row[j], scalar_row[j], row_tolerance(scalar_row[j]))
           << kernel.name() << " probe col " << j;
     }
+  }
+}
+
+// ---- SMO working-set passes -------------------------------------------
+
+constexpr double kTau = 1e-12;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct SmoPassInputs {
+  std::vector<double> grad;
+  std::vector<double> y;
+  std::vector<double> k_i;
+  std::vector<double> k_j;
+  std::vector<double> k_diag;
+  std::vector<std::uint8_t> flags;
+  double s_i = 0.0;
+  double s_j = 0.0;
+  double k_ii = 1.0;
+  double g_max = 0.0;
+};
+
+// The solver's loops over its active set, written out once more: the
+// reference every table's kernel must equal bit for bit.
+std::ptrdiff_t reference_update_argmax(SmoPassInputs& in, double& g_max) {
+  g_max = -std::numeric_limits<double>::infinity();
+  std::ptrdiff_t arg = -1;
+  for (std::size_t t = 0; t < in.grad.size(); ++t) {
+    in.grad[t] += in.y[t] * (in.s_i * in.k_i[t] + in.s_j * in.k_j[t]);
+    if (!in.flags[t]) continue;
+    const double v = -in.y[t] * in.grad[t];
+    if (v > g_max) {
+      g_max = v;
+      arg = static_cast<std::ptrdiff_t>(t);
+    }
+  }
+  return arg;
+}
+
+std::ptrdiff_t reference_wss2_argmin(const SmoPassInputs& in, double& g_min) {
+  g_min = std::numeric_limits<double>::infinity();
+  double best = std::numeric_limits<double>::infinity();
+  std::ptrdiff_t arg = -1;
+  for (std::size_t t = 0; t < in.grad.size(); ++t) {
+    if (!in.flags[t]) continue;
+    const double v = -in.y[t] * in.grad[t];
+    g_min = std::min(g_min, v);
+    const double b = in.g_max - v;
+    if (b <= 0.0) continue;
+    double a = in.k_ii + in.k_diag[t] - 2.0 * in.k_i[t];
+    if (a <= 0.0) a = kTau;
+    const double obj = -(b * b) / a;
+    if (obj < best) {
+      best = obj;
+      arg = static_cast<std::ptrdiff_t>(t);
+    }
+  }
+  return arg;
+}
+
+enum class SmoShape { kRandom, kTies, kNoFlags, kNoViolation, kFlatCurvature };
+
+SmoPassInputs make_smo_inputs(std::size_t n, SmoShape shape, Rng& rng) {
+  SmoPassInputs in;
+  const double tie_grads[] = {1.5, -1.5, 0.0, -0.0};
+  for (std::size_t t = 0; t < n; ++t) {
+    in.y.push_back(rng.uniform_index(2) == 0 ? 1.0 : -1.0);
+    in.flags.push_back(shape == SmoShape::kNoFlags ? 0
+                       : rng.uniform_index(4) != 0 ? 1
+                                                   : 0);
+    in.k_diag.push_back(1.0);
+    if (shape == SmoShape::kTies) {
+      // Few distinct gradients and rows: equal values at many indices,
+      // signed zeros among them.
+      in.grad.push_back(tie_grads[rng.uniform_index(4)]);
+      in.k_i.push_back(rng.uniform_index(2) == 0 ? 0.25 : 0.5);
+      in.k_j.push_back(0.5);
+    } else {
+      in.grad.push_back(rng.normal(0.0, 1.5));
+      // a = 2 − 2·k_i is exactly 0 or negative on the flat shape.
+      in.k_i.push_back(shape != SmoShape::kFlatCurvature ? rng.uniform(0.0, 1.0)
+                       : t % 3 == 0                      ? 1.0
+                                    : rng.uniform(1.0, 2.0));
+      in.k_j.push_back(rng.uniform(0.0, 1.0));
+    }
+  }
+  if (shape != SmoShape::kTies) {
+    in.s_i = rng.normal(0.0, 1.0);
+    in.s_j = rng.normal(0.0, 1.0);
+  }
+  in.g_max = shape == SmoShape::kNoViolation ? -1e9
+             : shape == SmoShape::kTies      ? 1.5
+                                             : rng.normal(1.0, 1.0);
+  return in;
+}
+
+// Both kernels on every available table against the reference loops, at
+// every length 0–13 so each tail runs, over random inputs, ties, an
+// empty flag set, no violating pair (b ≤ 0 everywhere) and curvature
+// a ≤ 0 (the τ clamp).
+TEST_F(SimdTest, SmoKernelsEqualTheSolverLoopsBitForBit) {
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (avx2()) isas.push_back(simd::Isa::kAvx2);
+  Rng rng(2005);
+  for (const SmoShape shape :
+       {SmoShape::kRandom, SmoShape::kTies, SmoShape::kNoFlags,
+        SmoShape::kNoViolation, SmoShape::kFlatCurvature}) {
+    for (std::size_t n = 0; n <= 13; ++n) {
+      for (int rep = 0; rep < 8; ++rep) {
+        const SmoPassInputs in = make_smo_inputs(n, shape, rng);
+        SmoPassInputs ref = in;
+        double ref_g_max = 0.0;
+        const auto ref_i = reference_update_argmax(ref, ref_g_max);
+        double ref_g_min = 0.0;
+        const auto ref_j = reference_wss2_argmin(in, ref_g_min);
+        if (shape == SmoShape::kNoFlags) {
+          EXPECT_EQ(ref_i, -1);
+          EXPECT_EQ(ref_g_max, -std::numeric_limits<double>::infinity());
+          EXPECT_EQ(ref_g_min, std::numeric_limits<double>::infinity());
+        }
+        if (shape == SmoShape::kNoFlags || shape == SmoShape::kNoViolation) {
+          EXPECT_EQ(ref_j, -1);
+        }
+        for (const simd::Isa isa : isas) {
+          ASSERT_TRUE(simd::set_active(isa));
+          const auto where = ::testing::Message()
+                             << simd::isa_name(isa) << " shape "
+                             << static_cast<int>(shape) << " n " << n
+                             << " rep " << rep;
+          std::vector<double> grad = in.grad;
+          double g_max = 0.0;
+          const auto i = simd::smo_update_argmax(
+              grad.data(), in.y.data(), in.k_i.data(), in.k_j.data(), in.s_i,
+              in.s_j, in.flags.data(), n, &g_max);
+          EXPECT_EQ(i, ref_i) << where;
+          EXPECT_EQ(bits(g_max), bits(ref_g_max)) << where;
+          for (std::size_t t = 0; t < n; ++t) {
+            EXPECT_EQ(bits(grad[t]), bits(ref.grad[t])) << where << " t " << t;
+          }
+          double g_min = 0.0;
+          const auto j = simd::smo_wss2_argmin(
+              in.grad.data(), in.y.data(), in.flags.data(), in.k_i.data(),
+              in.k_diag.data(), in.k_ii, in.g_max, kTau, n, &g_min);
+          EXPECT_EQ(j, ref_j) << where;
+          EXPECT_EQ(bits(g_min), bits(ref_g_min)) << where;
+        }
+      }
+    }
+  }
+}
+
+// Ties across lanes resolve to the first index, and the value returned
+// is that element's own: −0.0 at index 1 beats +0.0 at 3 and −0.0 at 4
+// for the I_up maximum; +0.0 at index 1 beats −0.0 at 3 for g_min.
+TEST_F(SimdTest, SmoKernelTiesGoToTheFirstIndex) {
+  std::vector<simd::Isa> isas{simd::Isa::kScalar};
+  if (avx2()) isas.push_back(simd::Isa::kAvx2);
+  const std::size_t n = 11;
+  const std::vector<double> y(n, -1.0);  // v = −y·g = g
+  const std::vector<double> zeros(n, 0.0);
+  const std::vector<double> ones(n, 1.0);
+  const std::vector<std::uint8_t> flags(n, 1);
+  for (const simd::Isa isa : isas) {
+    ASSERT_TRUE(simd::set_active(isa));
+    std::vector<double> grad{-5.0, -0.0, -3.0, 0.0,  -0.0, -7.0,
+                             -1.0, -2.0, -0.0, -4.0, 0.0};
+    double g_max = 1.0;
+    // s_i = s_j = 0 adds y·(+0) = −0, which keeps every gradient's bits.
+    EXPECT_EQ(simd::smo_update_argmax(grad.data(), y.data(), zeros.data(),
+                                      zeros.data(), 0.0, 0.0, flags.data(), n,
+                                      &g_max),
+              1)
+        << simd::isa_name(isa);
+    EXPECT_EQ(bits(g_max), bits(-0.0)) << simd::isa_name(isa);
+
+    // With g_max = 1 and a = 2 everywhere, obj = −(1 − v)²/2 is lowest
+    // where v = −1: indices 2, 6 and 9.
+    const std::vector<double> wss{0.5, 0.0, -1.0, -0.0, 0.5, 0.5,
+                                  -1.0, 0.5, 0.5, -1.0, 0.5};
+    double g_min = 0.0;
+    EXPECT_EQ(simd::smo_wss2_argmin(wss.data(), y.data(), flags.data(),
+                                    zeros.data(), ones.data(), 1.0, 1.0, kTau,
+                                    n, &g_min),
+              2)
+        << simd::isa_name(isa);
+    EXPECT_EQ(g_min, -1.0) << simd::isa_name(isa);
+    const std::vector<double> zero_min{0.5, 0.0, 0.5, -0.0, 0.5, 0.5,
+                                       0.5, 0.5, 0.5, 0.5,  0.5};
+    simd::smo_wss2_argmin(zero_min.data(), y.data(), flags.data(),
+                          zeros.data(), ones.data(), 1.0, 1.0, kTau, n,
+                          &g_min);
+    EXPECT_EQ(bits(g_min), bits(0.0)) << simd::isa_name(isa);
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -10,7 +12,9 @@
 #include "ml/kernel.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace xdmodml::ml {
 namespace {
@@ -292,6 +296,110 @@ TEST(Smo, ShrinkingHandlesIterationCapWhileShrunk) {
   EXPECT_FALSE(r.converged);
   EXPECT_TRUE(std::isfinite(r.rho));
   EXPECT_TRUE(std::isfinite(r.objective));
+}
+
+// The contiguous passes run through the simd:: table while nothing is
+// shrunk, and the indexed loops after a shrink pass.  Every table takes
+// the same steps, so a solve under the scalar table and under AVX2 must
+// agree bit for bit: alphas, rho, objective and iteration count.
+// Callers skip when the AVX2 table is unavailable.
+void expect_same_solve_on_every_table(const SmoProblem& prob,
+                                      const SmoConfig& cfg) {
+  const simd::Isa saved = simd::active();
+  ASSERT_TRUE(simd::set_active(simd::Isa::kScalar));
+  const auto scalar = solve_smo(prob, cfg);
+  ASSERT_TRUE(simd::set_active(simd::Isa::kAvx2));
+  const auto avx2 = solve_smo(prob, cfg);
+  simd::set_active(saved);
+  ASSERT_TRUE(scalar.converged);
+  EXPECT_EQ(avx2.iterations, scalar.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(avx2.rho),
+            std::bit_cast<std::uint64_t>(scalar.rho));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(avx2.objective),
+            std::bit_cast<std::uint64_t>(scalar.objective));
+  ASSERT_EQ(avx2.alpha.size(), scalar.alpha.size());
+  for (std::size_t t = 0; t < scalar.alpha.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(avx2.alpha[t]),
+              std::bit_cast<std::uint64_t>(scalar.alpha[t]))
+        << "alpha " << t;
+  }
+}
+
+TEST(Smo, ShrunkSolveIdenticalOnEveryTable) {
+  if (!simd::available(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2 table";
+  Rng rng(404);
+  Matrix X;
+  std::vector<signed char> y;
+  for (int i = 0; i < 301; ++i) {
+    const int label = i % 2 == 0 ? 1 : -1;
+    X.append_row(std::vector<double>{rng.normal(label * 0.6, 1.0),
+                                     rng.normal(0.0, 1.0),
+                                     rng.normal(label * 0.2, 0.8)});
+    y.push_back(static_cast<signed char>(label));
+  }
+  std::vector<double> p(X.rows(), -1.0);
+  std::vector<double> c(X.rows(), 10.0);
+  // The Gram matrix is filled once, up front: the engine's rows round
+  // differently per table, and this test pins the solver alone.
+  const GramRowEngine engine(X, Kernel::rbf(0.5));
+  Matrix gram(X.rows(), X.rows());
+  for (std::size_t i = 0; i < X.rows(); ++i) engine.fill_row(i, gram.row(i));
+  SmoProblem prob;
+  prob.n = X.rows();
+  prob.p = p;
+  prob.y = y;
+  prob.c = c;
+  prob.kernel_row = [&gram](std::size_t i, std::span<double> out) {
+    std::copy(gram.row(i).begin(), gram.row(i).end(), out.begin());
+  };
+  prob.kernel_diag = [&gram](std::size_t i) { return gram(i, i); };
+  SmoConfig cfg;
+  cfg.shrink_interval = 40;
+  auto& shrinks = obs::MetricsRegistry::instance().counter("smo.shrink_passes");
+  const auto before = shrinks.value();
+  expect_same_solve_on_every_table(prob, cfg);
+  // Both solves shrank, so the indexed loops ran as well.
+  EXPECT_GT(shrinks.value(), before);
+}
+
+// Duplicated points on a small integer grid: with every alpha at 0 the
+// I_up candidates all tie, and the partners' curvatures repeat, so the
+// first-index rule picks every early working set.
+TEST(Smo, TiedSelectionsIdenticalOnEveryTable) {
+  if (!simd::available(simd::Isa::kAvx2)) GTEST_SKIP() << "no AVX2 table";
+  LinearProblemFixture fx;
+  for (int i = 0; i < 45; ++i) {
+    const int label = i % 3 == 0 ? -1 : 1;
+    fx.add(static_cast<double>(i % 4), static_cast<double>((i / 4) % 3),
+           label);
+  }
+  for (auto& ci : fx.c) ci = 1.0;
+  SmoConfig cfg;
+  cfg.shrinking = false;
+  expect_same_solve_on_every_table(fx.problem(), cfg);
+}
+
+// The solver's steps, pinned: a 120-point integer grid whose duplicated
+// points tie the selections all through the solve, shrunk every 7
+// iterations so the selection after each shrink pass decides among
+// reordered ties.  The linear kernel on integers is exact, so the values
+// below hold wherever the solver's own arithmetic rounds as written (no
+// contraction).  They were recorded from the solver before its I_up
+// maximum moved into the gradient pass and its loops into the simd
+// table; any change to the order of its steps moves them.
+TEST(Smo, TiedGridSolveTakesThePinnedSteps) {
+  LinearProblemFixture fx;
+  for (int i = 0; i < 120; ++i) {
+    fx.add(static_cast<double>((i / 3) % 5), static_cast<double>((i / 2) % 4),
+           i % 3 == 0 ? -1 : 1);
+  }
+  SmoConfig cfg;
+  cfg.shrink_interval = 7;
+  const auto r = solve_smo(fx.problem(), cfg);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 115u);
+  EXPECT_EQ(r.objective, -0x1.8fffffffffffcp+9);
+  EXPECT_EQ(r.rho, -0x1.0000000000001p+0);
 }
 
 TEST(SharedGramCache, SlicedRowsMatchDirectComputation) {
