@@ -16,7 +16,7 @@
 // Every op is a median over warmed-up repeats (time_median_ms); sizes
 // honour XDMODML_SCALE like every other bench.  With --metrics the rows
 // carry the observability snapshot (tree.nodes, tree.hist_built,
-// tree.hist_subtracted, ... — see DESIGN.md §9/§10).
+// tree.hist_scan_bins, ... — see DESIGN.md §9/§10).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -147,32 +147,4 @@ std::size_t BinnedDataset::memory_bytes() const {
          bins_.size() * sizeof(std::size_t) + edges;
 }
 
-void accumulate_class_hist(const BinnedDataset& binned, std::size_t feature,
-                           std::span<const std::size_t> samples,
-                           std::span<const int> labels,
-                           std::size_t num_classes, std::span<double> out) {
-  XDMODML_CHECK(out.size() == binned.num_bins(feature) * num_classes,
-                "histogram buffer size mismatch");
-  const std::uint8_t* col = binned.column(feature);
-  for (const auto s : samples) {
-    out[col[s] * num_classes + static_cast<std::size_t>(labels[s])] += 1.0;
-  }
-}
-
-void accumulate_value_hist(const BinnedDataset& binned, std::size_t feature,
-                           std::span<const std::size_t> samples,
-                           std::span<const double> targets,
-                           std::span<double> out) {
-  XDMODML_CHECK(out.size() == binned.num_bins(feature) * 3,
-                "histogram buffer size mismatch");
-  const std::uint8_t* col = binned.column(feature);
-  for (const auto s : samples) {
-    double* slot = out.data() + col[s] * 3;
-    const double v = targets[s];
-    slot[0] += 1.0;
-    slot[1] += v;
-    slot[2] += v * v;
-  }
-}
-
 }  // namespace xdmodml::ml

@@ -57,7 +57,7 @@ class BinnedDataset {
   /// Bins actually used by feature f (>= 1; 1 means constant).
   std::size_t num_bins(std::size_t f) const { return bins_[f]; }
 
-  /// Largest num_bins over all features (sizing for histogram buffers).
+  /// Largest num_bins over all features (bench_forest reports it).
   std::size_t max_bins_used() const { return max_bins_used_; }
 
   /// Column-major code column for feature f (length rows()).
@@ -104,25 +104,5 @@ class BinnedDataset {
   std::vector<std::vector<double>> bin_min_; // per feature, per bin
   std::vector<std::vector<double>> bin_max_;
 };
-
-/// Dense class-count histogram of one feature over a sample multiset:
-/// out[bin * num_classes + c] accumulates how many of `samples` (row
-/// indices into the binned matrix; duplicates allowed) fall into `bin`
-/// with label c.  `out` must be zeroed and sized
-/// num_bins(feature) * num_classes.  Counts are integral, so histograms
-/// over disjoint sample sets add exactly: hist(parent) == hist(left) +
-/// hist(right) bin-for-bin — the identity behind the subtraction trick.
-void accumulate_class_hist(const BinnedDataset& binned, std::size_t feature,
-                           std::span<const std::size_t> samples,
-                           std::span<const int> labels,
-                           std::size_t num_classes, std::span<double> out);
-
-/// Regression variant: out[bin * 3 + {0,1,2}] accumulates count, sum and
-/// sum of squares of `targets` per bin.  `out` must be zeroed and sized
-/// num_bins(feature) * 3.
-void accumulate_value_hist(const BinnedDataset& binned, std::size_t feature,
-                           std::span<const std::size_t> samples,
-                           std::span<const double> targets,
-                           std::span<double> out);
 
 }  // namespace xdmodml::ml

@@ -161,7 +161,7 @@ std::vector<GridPoint> svm_grid_search(const Dataset& ds,
   }
 
   const std::size_t capacity = std::min(
-      SharedGramCache::rows_for_budget(xs.rows(), options.cache_bytes),
+      SharedGramCache::rows_for_budget(xs.rows(), kGramCacheBudgetBytes),
       xs.rows());
   const int num_classes = static_cast<int>(ds.num_classes());
   std::vector<GridPoint> points;

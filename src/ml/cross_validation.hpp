@@ -68,8 +68,6 @@ struct SvmGridSearchOptions {
   /// reuse: the accuracy table is bit-identical to per-cell refits,
   /// which stay as the reference arm of that equivalence test.
   bool reuse_kernel_cache = true;
-  /// Byte budget per per-γ tuning cache.
-  std::size_t cache_bytes = 256ull << 20;
   /// Base SVM config; kernel and C are overwritten per cell.  Defaults
   /// to probability = false (accuracy-only tuning); with probability on,
   /// Platt CV folds also slice out of the shared cache.

@@ -46,13 +46,6 @@ double gini_present(std::span<const double> counts,
   return 1.0 - sum_sq;
 }
 
-/// Histogram storage is capped at this recursion depth: below it every
-/// stored level costs up to ~mtry histograms of max_bins · width doubles,
-/// and a pathological 1/(n−1) split chain would otherwise hold one level
-/// per sample.  Deeper nodes fall back to direct accumulation (they are
-/// almost always tiny anyway).
-constexpr std::size_t kMaxStoredLevels = 64;
-
 }  // namespace
 
 struct TreeEngine::BuildContext {
@@ -79,32 +72,14 @@ struct TreeEngine::BuildContext {
   /// One feature's histogram: `data` is num_bins(feature) · width doubles
   /// (class counts, or count/sum/sumsq triples), `touched` the bins that
   /// hold at least one sample, ascending.  Invariant: every slot outside
-  /// `touched` is zero, so reusing a buffer only needs the touched slots
+  /// `touched` is zero, so reusing the buffer only needs the touched slots
   /// rezeroed.
   struct HistSlot {
-    int feature = -1;
     std::vector<double> data;
     std::vector<std::uint16_t> touched;
   };
 
-  /// Per-depth histogram store for the subtraction trick.  `own` holds
-  /// the histograms of the node currently being built at this depth (its
-  /// children subtract against them); after that node's subtree finishes,
-  /// the claim of the *next* node at the same depth — its right sibling —
-  /// swaps them into `sibling`, where they serve as the already-built
-  /// smaller-child histograms.
-  struct LevelStore {
-    std::vector<HistSlot> own;
-    std::size_t own_begin = 0, own_end = 0;
-    std::size_t own_used = 0;  // active prefix of `own`
-    std::vector<HistSlot> sibling;
-    std::size_t sib_begin = 0, sib_end = 0;
-    std::size_t sib_used = 0;
-  };
-
-  std::vector<LevelStore> levels;
-  HistSlot scratch_hist;  // destination for nodes below the storage gate
-  HistSlot scratch_sib;   // lazily built sibling histograms
+  HistSlot scratch_hist;  // every node's histograms, one feature at a time
   std::vector<double> node_stats;          // node totals (width doubles)
   std::vector<double> left_acc, right_acc; // hist-scan running stats
 
@@ -112,7 +87,6 @@ struct TreeEngine::BuildContext {
   std::uint64_t tally_nodes = 0;
   std::uint64_t tally_sorted_values = 0;
   std::uint64_t tally_hist_built = 0;
-  std::uint64_t tally_hist_subtracted = 0;
   std::uint64_t tally_scan_bins = 0;
 
   /// Restores a slot to the all-zero state and sizes it for `bins` bins.
@@ -122,25 +96,6 @@ struct TreeEngine::BuildContext {
     }
     h.touched.clear();
     if (h.data.size() < bins * width) h.data.resize(bins * width, 0.0);
-    h.feature = -1;
-  }
-
-  /// Marks `depth` as occupied by the node [begin, end): the previous
-  /// occupant's histograms (this node's left sibling, when one exists)
-  /// move to the sibling slot, and `own` is cleared for this node.  Every
-  /// node claims its level — even ones that store nothing — so a child's
-  /// parent lookup at levels[depth-1] is always *this* lineage, never a
-  /// stale subtree.
-  void claim_level(std::size_t depth, std::size_t begin, std::size_t end) {
-    if (levels.size() <= depth) levels.resize(depth + 1);
-    LevelStore& lv = levels[depth];
-    std::swap(lv.own, lv.sibling);
-    lv.sib_begin = lv.own_begin;
-    lv.sib_end = lv.own_end;
-    lv.sib_used = lv.own_used;
-    lv.own_begin = begin;
-    lv.own_end = end;
-    lv.own_used = 0;
   }
 
   /// One O(n) accumulation pass over ctx.samples[begin, end) into `h`
@@ -183,107 +138,13 @@ struct TreeEngine::BuildContext {
     ++tally_hist_built;
   }
 
-  /// dst := parent − sib over the parent's touched bins.  Class counts
-  /// subtract exactly (integral doubles); regression sums can leave
-  /// ~1e-17 residue in bins whose count reaches zero, so those slots are
-  /// rezeroed explicitly to keep the all-zero-outside-touched invariant.
-  void subtract(const HistSlot& parent, const HistSlot& sib, HistSlot& dst) {
-    for (const auto b : parent.touched) {
-      double* o = dst.data.data() + b * width;
-      const double* p = parent.data.data() + b * width;
-      const double* s = sib.data.data() + b * width;
-      double count = 0.0;
-      if (classification) {
-        for (std::size_t c = 0; c < width; ++c) {
-          o[c] = p[c] - s[c];
-          count += o[c];
-        }
-      } else {
-        for (std::size_t c = 0; c < 3; ++c) o[c] = p[c] - s[c];
-        count = o[0];
-      }
-      if (count > 0.0) {
-        dst.touched.push_back(b);
-      } else {
-        std::fill_n(o, width, 0.0);
-      }
-    }
-    ++tally_hist_subtracted;
-  }
-
-  /// Histogram of feature f over the node [begin, end), by the cheapest
-  /// available route: subtract the stored sibling histogram from the
-  /// parent's, lazily build the (smaller) sibling and subtract, or
-  /// accumulate directly.  With `store` the result lands in this level's
-  /// own store so children and the right sibling can subtract against it.
-  const HistSlot* node_hist(std::size_t depth, std::size_t f,
-                            std::size_t begin, std::size_t end, bool store) {
-    LevelStore& lv = levels[depth];
-    HistSlot* dst;
-    if (store) {
-      if (lv.own_used == lv.own.size()) lv.own.emplace_back();
-      dst = &lv.own[lv.own_used];
-    } else {
-      dst = &scratch_hist;
-    }
-    reset_slot(*dst, binned->num_bins(f), width);
-    dst->feature = static_cast<int>(f);
-
-    const std::size_t n = end - begin;
-    const HistSlot* parent = nullptr;
-    std::size_t parent_begin = 0;
-    std::size_t parent_end = 0;
-    if (depth > 0) {
-      LevelStore& up = levels[depth - 1];
-      parent_begin = up.own_begin;  // claim protocol: always this node's parent
-      parent_end = up.own_end;
-      for (std::size_t i = 0; i < up.own_used; ++i) {
-        if (up.own[i].feature == static_cast<int>(f)) {
-          parent = &up.own[i];
-          break;
-        }
-      }
-    }
-
-    bool filled = false;
-    if (parent != nullptr) {
-      // Cost of one subtraction pass, vs ~n for a direct accumulation.
-      const std::size_t cost_sub = parent->touched.size() * width;
-      const HistSlot* sib = nullptr;
-      if (lv.sib_begin == parent_begin && lv.sib_end == begin &&
-          begin > parent_begin) {
-        // Right child: the left sibling's store survived its subtree
-        // (deeper levels never touch this slot) and covers [parent, me).
-        for (std::size_t i = 0; i < lv.sib_used; ++i) {
-          if (lv.sibling[i].feature == static_cast<int>(f)) {
-            sib = &lv.sibling[i];
-            break;
-          }
-        }
-      }
-      if (sib != nullptr && cost_sub < 2 * n) {
-        subtract(*parent, *sib, *dst);
-        filled = true;
-      } else if (sib == nullptr) {
-        // Lazy sibling build: the sibling's sample range is still intact
-        // as a multiset (the partition put it there; only its own subtree
-        // reorders it), so its histogram can be built now.  Worth it when
-        // sibling-scan + subtraction beats a direct scan — i.e. when this
-        // node is the larger child.
-        const std::size_t n_sib = (parent_end - parent_begin) - n;
-        if (n_sib + cost_sub < n) {
-          const std::size_t sib_lo = begin == parent_begin ? end : parent_begin;
-          const std::size_t sib_hi = begin == parent_begin ? parent_end : begin;
-          reset_slot(scratch_sib, binned->num_bins(f), width);
-          accumulate(f, sib_lo, sib_hi, scratch_sib);
-          subtract(*parent, scratch_sib, *dst);
-          filled = true;
-        }
-      }
-    }
-    if (!filled) accumulate(f, begin, end, *dst);
-    if (store) ++lv.own_used;
-    return dst;
+  /// Histogram of feature f over the node [begin, end): one
+  /// accumulation pass into the reused scratch slot.
+  const HistSlot& node_hist(std::size_t f, std::size_t begin,
+                            std::size_t end) {
+    reset_slot(scratch_hist, binned->num_bins(f), width);
+    accumulate(f, begin, end, scratch_hist);
+    return scratch_hist;
   }
 };
 
@@ -336,12 +197,10 @@ void TreeEngine::fit(const Matrix& X, std::span<const int> y_class,
   static auto& nodes_counter = registry.counter("tree.nodes");
   static auto& sorted_counter = registry.counter("tree.exact_sorted_values");
   static auto& built_counter = registry.counter("tree.hist_built");
-  static auto& subtracted_counter = registry.counter("tree.hist_subtracted");
   static auto& scan_counter = registry.counter("tree.hist_scan_bins");
   nodes_counter.inc(ctx.tally_nodes);
   sorted_counter.inc(ctx.tally_sorted_values);
   built_counter.inc(ctx.tally_hist_built);
-  subtracted_counter.inc(ctx.tally_hist_subtracted);
   scan_counter.inc(ctx.tally_scan_bins);
 }
 
@@ -354,7 +213,6 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
   ++ctx.tally_nodes;
 
   const bool hist = ctx.algo == SplitAlgo::kHist;
-  if (hist) ctx.claim_level(depth_now, begin, end);
 
   // Node statistics.
   auto& counts = ctx.node_counts;
@@ -425,11 +283,6 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
   std::size_t evaluated = 0;
 
   if (hist) {
-    // Histograms are kept for the subtraction trick only on nodes large
-    // enough that a child rescan would dominate the buffer cost, with a
-    // depth cap bounding worst-case memory.
-    const bool store = n >= 2 * ctx.binned->max_bins_used() &&
-                       depth_now < kMaxStoredLevels;
     auto& totals = ctx.node_stats;
     auto& present = ctx.present;
     if (task_ == Task::kClassification) {
@@ -448,8 +301,8 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
                    static_cast<std::uint64_t>(num_features_ - fi)));
       std::swap(ctx.feature_pool[fi], ctx.feature_pool[j]);
       const std::size_t f = ctx.feature_pool[fi];
-      const auto* h = ctx.node_hist(depth_now, f, begin, end, store);
-      const auto& touched = h->touched;
+      const auto& h = ctx.node_hist(f, begin, end);
+      const auto& touched = h.touched;
       if (touched.size() < 2) continue;  // constant within this node
       ++evaluated;
       ctx.tally_scan_bins += touched.size();
@@ -463,7 +316,7 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
         // and in `moved`, so only the present classes are updated.
         std::size_t nl = 0;
         for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
-          const double* hb = h->data.data() + touched[t] * ctx.width;
+          const double* hb = h.data.data() + touched[t] * ctx.width;
           double moved = 0.0;
           for (const auto c : present) {
             left[c] += hb[c];
@@ -493,7 +346,7 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
         const auto min_leaf =
             static_cast<double>(config_.min_samples_leaf);
         for (std::size_t t = 0; t + 1 < touched.size(); ++t) {
-          const double* hb = h->data.data() + touched[t] * 3;
+          const double* hb = h.data.data() + touched[t] * 3;
           for (std::size_t c = 0; c < 3; ++c) {
             left[c] += hb[c];
             right[c] -= hb[c];
@@ -633,8 +486,9 @@ std::size_t TreeEngine::build_node(BuildContext& ctx, std::size_t begin,
       best_gain * static_cast<double>(n);
 
   // Fill the split node; children are built afterwards so their indices
-  // are known only post-recursion.  Left before right: the left child's
-  // level store must be in place when the right sibling claims the level.
+  // are known only post-recursion.  Left before right: the node order and
+  // the order of the RNG's feature draws follow this recursion, so the
+  // saved trees depend on it.
   nodes_[node_index].feature = best_feature;
   nodes_[node_index].threshold = best_threshold;
   const std::size_t left_index = build_node(ctx, begin, mid, depth_now + 1);
@@ -723,9 +577,19 @@ TreeEngine TreeEngine::load(std::istream& in) {
                         node.right > idx && node.right < nodes,
                     "corrupt tree child index");
     } else if (task == 0) {
-      XDMODML_CHECK(node.class_probs.size() ==
-                        static_cast<std::size_t>(engine.num_classes_),
-                    "corrupt tree leaf distribution");
+      // A fitted leaf is counts / n: entries in [0, 1] that sum to 1
+      // within a few ulps.  Anything else would be served as a
+      // probability.
+      const auto& p = node.class_probs;
+      const bool in_unit = std::all_of(p.begin(), p.end(), [](double v) {
+        return v >= 0.0 && v <= 1.0;
+      });
+      XDMODML_CHECK(
+          p.size() == static_cast<std::size_t>(engine.num_classes_) &&
+              in_unit &&
+              std::abs(std::accumulate(p.begin(), p.end(), 0.0) - 1.0) <=
+                  1e-9,
+          "corrupt tree leaf distribution");
     }
   }
   engine.impurity_importance_ = reader.read_vector("importance");

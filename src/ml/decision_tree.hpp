@@ -10,9 +10,8 @@
 //  * kHist — histogram-binned search over a `BinnedDataset`: per-bin
 //    class-count (or count/sum/sumsq) histograms are accumulated in one
 //    O(n) pass per feature and the ≤256 bins are scanned instead of
-//    sorting.  A node derives a child's histogram from its own minus the
-//    sibling's whenever that is cheaper than rescanning (the
-//    parent-minus-sibling subtraction trick).
+//    sorting.  Every node builds each histogram it scores this way, into
+//    one reused buffer.
 //
 // `max_features` enables the per-split feature subsampling that
 // distinguishes a *random* forest from plain bagging.
@@ -82,6 +81,8 @@ class TreeEngine {
   /// Leaf value for one row (regression).
   double leaf_value(std::span<const double> x) const;
 
+  Task task() const { return task_; }
+  int num_classes() const { return num_classes_; }
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t depth() const;
   bool trained() const { return !nodes_.empty(); }

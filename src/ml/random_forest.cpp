@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <utility>
 
 #include "ml/binned_dataset.hpp"
 #include "ml/model_io.hpp"
@@ -336,7 +337,14 @@ RandomForestClassifier RandomForestClassifier::load(std::istream& in) {
   // No reserve: a corrupt count runs out of tokens instead of sizing an
   // allocation.
   for (std::int64_t i = 0; i < tree_count; ++i) {
-    forest.trees_.push_back(detail::TreeEngine::load(in));
+    auto tree = detail::TreeEngine::load(in);
+    // predict_proba reads num_classes_ entries of every leaf it reaches;
+    // the tree loader checks its leaves against the tree's own count.
+    XDMODML_CHECK(
+        tree.task() == detail::TreeEngine::Task::kClassification &&
+            tree.num_classes() == forest.num_classes_,
+        "corrupt forest tree class count");
+    forest.trees_.push_back(std::move(tree));
   }
   io::TokenReader tail(in);
   forest.impurity_importance_ = tail.read_vector("impurity_importance");

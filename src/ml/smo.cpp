@@ -41,6 +41,9 @@ struct GramCacheMetrics {
   }
 };
 
+/// Capacity of each solve's own LRU kernel-row cache (rows of length n).
+constexpr std::size_t kSolverCacheRows = 4096;
+
 }  // namespace
 
 KernelRowCache::KernelRowCache(
@@ -277,7 +280,7 @@ SmoResult solve_smo(const SmoProblem& problem, const SmoConfig& config) {
   const auto y = problem.y;
   const auto c = problem.c;
 
-  KernelRowCache cache(n, config.cache_rows, problem.kernel_row);
+  KernelRowCache cache(n, kSolverCacheRows, problem.kernel_row);
 
   // Kernel diagonal (needed by second-order selection every iteration).
   std::vector<double> k_diag(n);

@@ -51,7 +51,6 @@ struct SmoProblem {
 struct SmoConfig {
   double tolerance = 1e-3;      ///< KKT violation tolerance
   std::size_t max_iterations = 10'000'000;
-  std::size_t cache_rows = 4096;  ///< LRU capacity (rows of length n)
   bool shrinking = true;        ///< LIBSVM-style active-set shrinking
   /// Iterations between shrink passes; 0 = min(n, 1000) (LIBSVM default).
   std::size_t shrink_interval = 0;
@@ -95,6 +94,11 @@ class KernelRowCache {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };
+
+/// Row-storage budget of every SharedGramCache the library builds: a
+/// fit's own full-matrix cache and a tuning sweep's per-γ cache.  It
+/// holds the whole f32 Gram matrix up to 8 192 rows.
+inline constexpr std::size_t kGramCacheBudgetBytes = std::size_t{256} << 20;
 
 /// Thread-safe cache of *full-matrix* kernel rows, backed by a
 /// GramRowEngine.  One instance is shared by every one-vs-one sub-problem

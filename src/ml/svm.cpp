@@ -574,7 +574,7 @@ void SvmClassifier::fit_shared(const Matrix& X, std::span<const int> y,
   SharedGramCache* shared = cache;
   if (shared == nullptr && config_.share_kernel_cache) {
     const std::size_t budget_rows =
-        SharedGramCache::rows_for_budget(X.rows(), config_.shared_cache_bytes);
+        SharedGramCache::rows_for_budget(X.rows(), kGramCacheBudgetBytes);
     owned = std::make_unique<SharedGramCache>(
         X, config_.kernel, std::min(budget_rows, X.rows()));
     shared = owned.get();

@@ -41,11 +41,9 @@ struct SvmConfig {
   /// one-vs-one sub-problems (each Gram row is computed once and sliced
   /// by every machine whose subset contains it).  Off = each machine
   /// solves over its own GramRowEngine with the solver's per-machine LRU,
-  /// which wins once the full matrix outgrows `shared_cache_bytes`
+  /// which wins once the full matrix outgrows `kGramCacheBudgetBytes`
   /// (DESIGN.md §7).
   bool share_kernel_cache = true;
-  /// Memory budget for the shared cache (bytes of row storage).
-  std::size_t shared_cache_bytes = 256ull << 20;
 };
 
 /// Parameters of a fitted Platt sigmoid  P(+1|f) = 1/(1+exp(A f + B)).

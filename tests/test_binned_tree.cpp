@@ -1,8 +1,8 @@
 // Tests for the histogram-binned split engine: BinnedDataset semantics,
 // binned-vs-exact split equivalence (bit-identical trees when every
-// distinct value gets its own bin), histogram additivity (the identity
-// behind the parent-minus-sibling subtraction trick), forest OOB parity
-// between the two arms, and the tree loader's topology validation.
+// distinct value gets its own bin), forest OOB parity between the two
+// arms, the split-search counters, and the tree loader's topology and
+// leaf-distribution validation.
 #include "ml/binned_dataset.hpp"
 
 #include <gtest/gtest.h>
@@ -176,64 +176,6 @@ TEST(BinnedDataset, SelectFeaturesCopiesColumnsVerbatim) {
 
 TEST(BinnedDataset, RejectsEmptyMatrix) {
   EXPECT_THROW(BinnedDataset(Matrix{}), InvalidArgument);
-}
-
-TEST(HistAccumulation, ParentHistEqualsLeftPlusRight) {
-  Matrix X;
-  std::vector<int> y;
-  make_discrete_problem(500, 6, X, y, 21);
-  const BinnedDataset binned(X);
-
-  // Split the sample multiset (with duplicates, like a bootstrap draw)
-  // into two arbitrary halves; per-bin counts must add exactly.
-  Rng rng(22);
-  std::vector<std::size_t> parent;
-  for (int i = 0; i < 700; ++i) parent.push_back(rng.uniform_index(X.rows()));
-  const std::span<const std::size_t> left(parent.data(), 300);
-  const std::span<const std::size_t> right(parent.data() + 300,
-                                           parent.size() - 300);
-
-  for (std::size_t f = 0; f < binned.features(); ++f) {
-    const std::size_t width = binned.num_bins(f) * 3;
-    std::vector<double> hp(width, 0.0), hl(width, 0.0), hr(width, 0.0);
-    accumulate_class_hist(binned, f, parent, y, 3, hp);
-    accumulate_class_hist(binned, f, left, y, 3, hl);
-    accumulate_class_hist(binned, f, right, y, 3, hr);
-    double total = 0.0;
-    for (std::size_t k = 0; k < width; ++k) {
-      EXPECT_DOUBLE_EQ(hp[k], hl[k] + hr[k]) << "slot " << k;
-      total += hp[k];
-    }
-    EXPECT_DOUBLE_EQ(total, static_cast<double>(parent.size()));
-  }
-}
-
-TEST(HistAccumulation, ValueHistAddsExactlyOnIntegralTargets) {
-  Matrix X;
-  std::vector<int> labels;
-  make_discrete_problem(400, 5, X, labels, 23);
-  // Integral targets keep the per-bin sums exact under any summation
-  // order, so parent == left + right holds to the last bit.
-  std::vector<double> targets;
-  for (std::size_t i = 0; i < X.rows(); ++i) {
-    targets.push_back(static_cast<double>(i % 7));
-  }
-  const BinnedDataset binned(X);
-  std::vector<std::size_t> parent(X.rows());
-  std::iota(parent.begin(), parent.end(), 0);
-  const std::span<const std::size_t> left(parent.data(), 150);
-  const std::span<const std::size_t> right(parent.data() + 150,
-                                           parent.size() - 150);
-  for (std::size_t f = 0; f < binned.features(); ++f) {
-    const std::size_t width = binned.num_bins(f) * 3;
-    std::vector<double> hp(width, 0.0), hl(width, 0.0), hr(width, 0.0);
-    accumulate_value_hist(binned, f, parent, targets, hp);
-    accumulate_value_hist(binned, f, left, targets, hl);
-    accumulate_value_hist(binned, f, right, targets, hr);
-    for (std::size_t k = 0; k < width; ++k) {
-      EXPECT_DOUBLE_EQ(hp[k], hl[k] + hr[k]) << "slot " << k;
-    }
-  }
 }
 
 TEST(SplitAlgoDefault, TreeConfigSelectsHist) {
@@ -486,10 +428,7 @@ TEST(SplitEquivalence, ForestBitIdenticalAtFullBinWidth) {
   }
 }
 
-TEST(HistMetrics, SubtractionAndScanCountersAdvance) {
-  // Few distinct values + many rows keeps n >= 2 * max_bins_used at the
-  // top of the tree, so the sibling store engages and right children get
-  // their histograms by subtraction rather than accumulation.
+TEST(HistMetrics, BuildAndScanCountersAdvance) {
   Matrix X;
   std::vector<int> y;
   make_discrete_problem(2000, 8, X, y, 41);
@@ -505,8 +444,6 @@ TEST(HistMetrics, SubtractionAndScanCountersAdvance) {
   EXPECT_GT(after.counter("tree.nodes"), before.counter("tree.nodes"));
   EXPECT_GT(after.counter("tree.hist_built"),
             before.counter("tree.hist_built"));
-  EXPECT_GT(after.counter("tree.hist_subtracted"),
-            before.counter("tree.hist_subtracted"));
   EXPECT_GT(after.counter("tree.hist_scan_bins"),
             before.counter("tree.hist_scan_bins"));
   // The hist arm never sorts node samples.
@@ -523,7 +460,8 @@ TEST(HistMetrics, SubtractionAndScanCountersAdvance) {
 }
 
 // ---------------------------------------------------------------------
-// Loader topology validation (crafted tree-v1 payloads).
+// Loader validation of topology and leaf distributions (crafted tree-v1
+// payloads).
 
 struct NodeSpec {
   int feature = -1;
@@ -614,6 +552,18 @@ TEST(TreeLoad, RejectsLeafDistributionWidthMismatch) {
   const auto payload = tree_payload(
       0, 2, 1, {{-1, 0.0, 0, 0, 0.0, {0.5, 0.25, 0.25}}});
   EXPECT_THROW(load_payload(payload), InvalidArgument);
+}
+
+TEST(TreeLoad, RejectsLeafThatIsNotAProbabilityVector) {
+  // Right width, wrong content: an entry outside [0, 1] (a 1e308 pair
+  // sums to 0 and would serve p = 1e308), or entries that do not sum to 1.
+  for (const auto& probs : std::vector<std::vector<double>>{
+           {1.5, -0.5}, {1e308, -1e308}, {0.25, 0.25}}) {
+    const auto payload =
+        tree_payload(0, 2, 1, {{-1, 0.0, 0, 0, 0.0, probs}});
+    EXPECT_THROW(load_payload(payload), InvalidArgument)
+        << probs[0] << ", " << probs[1];
+  }
 }
 
 TEST(TreeLoad, RoundTripsTrainedTree) {

@@ -483,11 +483,13 @@ TEST(ModelIo, ForestCountsAreRangeChecked) {
   // 2^62 trees or nodes threw std::length_error from sizing the vectors
   // up front; classes 2^32 + 3 narrowed to 3 and loaded; features -1
   // loaded and predicted; the root's split feature 2^32 + 1 narrowed to
-  // feature 1 and loaded.
+  // feature 1 and loaded; classes 5 over 3-class trees loaded, and
+  // predict_proba read past the end of every leaf.
   const std::pair<const char*, const char*> edits[] = {
       {"trees", "4611686018427387904"},
       {"nodes", "4611686018427387904"},
       {"classes", "4294967299"},
+      {"classes", "5"},
       {"features", "-1"},
       {"f", "4294967297"}};
   for (const auto& [tag, value] : edits) {
